@@ -717,12 +717,10 @@ struct ForwardActsFixture {
   }
 };
 
-void run_forward_acts_bench(benchmark::State& state, bool coded,
-                            bool fuse = false) {
+void run_forward_acts_bench(benchmark::State& state, bool coded) {
   const ForwardActsFixture fx(state.range(0));
   runtime::SessionOptions sopts;
   sopts.coded_activations = coded;
-  sopts.fuse = fuse;
   runtime::InferenceSession session(fx.model, sopts);
   session.set_formats(fx.w, fx.a);
   nn::ActTraffic traffic;
@@ -753,25 +751,13 @@ BENCHMARK(BM_ForwardFloatActs)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ForwardCodedActs(benchmark::State& state) {
-  // fuse off: the coded-activation flow as of the pre-fusion datapath —
-  // float-input coded-weight layers finish their float block, then encode
-  // in a second pass.  The unfused A/B baseline for BM_ForwardFused.
-  run_forward_acts_bench(state, /*coded=*/true, /*fuse=*/false);
+  // The shipped datapath: coded weight layers with a coded output edge run
+  // decode→GEMM→bias→act→encode as one kernel pass, whether their input
+  // arrives coded or dense, so no float intermediate round-trips through
+  // memory.  Logits are bit-identical to BM_ForwardFloatActs.
+  run_forward_acts_bench(state, /*coded=*/true);
 }
 BENCHMARK(BM_ForwardCodedActs)
-    ->Arg(1)->Arg(8)
-    ->ArgNames({"batch"})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ForwardFused(benchmark::State& state) {
-  // fuse on (the session default): decode→GEMM→bias→act→encode runs as
-  // one kernel pass on float-in coded-weight layers, so the float
-  // intermediate never round-trips through memory.  Bit-identical logits
-  // to BM_ForwardCodedActs (tests/test_act_codes.cpp pins it); the delta
-  // against it is the fusion win the CI JSON tracks.
-  run_forward_acts_bench(state, /*coded=*/true, /*fuse=*/true);
-}
-BENCHMARK(BM_ForwardFused)
     ->Arg(1)->Arg(8)
     ->ArgNames({"batch"})
     ->Unit(benchmark::kMillisecond);

@@ -2,8 +2,9 @@
 // baseline FP plus EMQ / HAWQ-V3 / AFP / ANT / BREC-Q stand-ins and LPQ.
 //
 // Competitor rows are *measured stand-ins* of each method's data type and
-// bit-allocation policy on this repo's substrate (DESIGN.md section 2);
-// the paper's reported numbers are printed alongside for reference.
+// bit-allocation policy on this repo's substrate (README.md, "Substrate
+// substitutions"); the paper's reported numbers are printed alongside
+// for reference.
 // Absolute model sizes differ (the zoo is width-scaled); the reproduction
 // targets are the accuracy ordering and the accuracy-vs-FP deltas.
 #include <cstdio>

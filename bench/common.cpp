@@ -76,16 +76,17 @@ double evaluate_per_channel_weights(Workbench& wb, const std::vector<int>& width
     }
     qweights[s] = std::move(copy);
   }
-  nn::QuantSpec act_spec;
-  act_spec.resize(slots.size());
+  std::vector<nn::SlotPlan> plan(slots.size());
   std::vector<std::unique_ptr<NumberFormat>> storage;
   const auto slot_node = wb.model.slot_node_map();
   for (std::size_t s = 0; s < slots.size(); ++s) {
     storage.push_back(act_factory(s, slot_node[s]));
-    act_spec.act_fmt[s] = storage.back().get();
+    plan[s].weight = &qweights[s];
+    plan[s].act = storage.back().get();
   }
-  const auto fwd = wb.model.forward_with_weights(wb.dataset.eval_inputs,
-                                                 qweights, act_spec);
+  nn::RunCtx ctx;
+  ctx.plan = plan;
+  const auto fwd = wb.model.run(wb.dataset.eval_inputs, ctx);
   return 100.0 * data::top1_accuracy(fwd.logits, wb.dataset.eval_labels);
 }
 

@@ -1,8 +1,8 @@
 // Synthetic calibration / evaluation data.
 //
 // The paper calibrates LPQ on 128 unlabeled ImageNet images and reports
-// ImageNet top-1.  Offline substitution (DESIGN.md section 2): a
-// class-prototype dataset.  Each class has a smoothed-Gaussian prototype
+// ImageNet top-1.  Offline substitution (README.md, "Substrate substitutions"):
+// a class-prototype dataset.  Each class has a smoothed-Gaussian prototype
 // image; samples are prototypes plus *small* pixel noise, and a sample's
 // label is the FP model's prediction on its clean prototype.  The small
 // noise keeps decision margins healthy, the way trained models have

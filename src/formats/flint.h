@@ -2,7 +2,7 @@
 // posit-style unary-exponent + integer-mantissa composite with a per-tensor
 // scale: small magnitudes get int-like uniform resolution, large magnitudes
 // get float-like exponential steps.  This is the stand-in for ANT in the
-// format comparison (see DESIGN.md section 2 on substitutions); its value
+// format comparison (see README.md, "Substrate substitutions"); its value
 // lattice matches flint's "float for large / int for small" behaviour.
 #pragma once
 

@@ -25,7 +25,8 @@ enum class FitnessKind {
   kKlDivergence,            ///< KL(softmax_fp || softmax_q), per sample
 };
 
-/// How activation scale factors are derived (see DESIGN.md):
+/// How activation scale factors are derived (see README.md, "Substrate
+/// substitutions"):
 /// kCalibrated measures -log2(mean|act|) on calibration data (what the
 /// PPU computes at runtime); kChained follows the paper's static rule
 /// sf_act^l = sf_act^{l-1} + sf_w^l.

@@ -4,7 +4,7 @@
 // DNN weights: per-layer scales spanning orders of magnitude, heavy tails,
 // and per-channel spread.  Since pretrained ImageNet checkpoints are not
 // available offline, the zoo synthesizes weights that reproduce those
-// distributional properties (see DESIGN.md section 2):
+// distributional properties (see README.md, "Substrate substitutions"):
 //
 //   w = channel_gain * layer_gain * (He-scaled Gaussian, with a small
 //       Laplace-mixture tail component)

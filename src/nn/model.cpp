@@ -49,6 +49,9 @@ ForwardResult Model::run(const Tensor& input, RunCtx ctx,
                          bool capture_pooled) const {
   LP_CHECK_MSG(finalized_, "call finalize() first");
   LP_CHECK(!input.empty());
+  LP_CHECK_MSG(ctx.plan.empty() || ctx.plan.size() == slots_.size(),
+               "plan sized " << ctx.plan.size() << " but model has "
+                             << slots_.size() << " slots");
   ForwardResult result;
   if (capture_pooled) {
     result.pooled.reserve(static_cast<std::size_t>(weighted_nodes_));
@@ -62,6 +65,7 @@ ForwardResult Model::run(const Tensor& input, RunCtx ctx,
     in_ptrs.clear();
     for (int in : n.inputs()) in_ptrs.push_back(&outputs[static_cast<std::size_t>(in)]);
     outputs[i] = n.run(in_ptrs, ctx);
+    if (ctx.on_node) ctx.on_node(i, outputs[i]);
     // Drop values whose last consumer has executed (liveness).
     for (int in : n.inputs()) {
       if (last_use_[static_cast<std::size_t>(in)] == static_cast<int>(i) && in != 0) {
@@ -87,71 +91,13 @@ ForwardResult Model::forward_quantized(const Tensor& input, const QuantSpec& spe
                "QuantSpec sized " << spec.weight_fmt.size() << " but model has "
                                   << slots_.size() << " slots");
   const std::vector<Tensor> quantized = quantize_weights(*this, spec);
+  std::vector<SlotPlan> plan(slots_.size());
+  for (std::size_t s = 0; s < plan.size(); ++s) {
+    if (!quantized[s].empty()) plan[s].weight = &quantized[s];
+    plan[s].act = spec.act_fmt[s];
+  }
   RunCtx ctx;
-  ctx.weight_override = &quantized;
-  ctx.quant = &spec;
-  return run(input, ctx, capture_pooled);
-}
-
-ForwardResult Model::forward_with_weights(const Tensor& input,
-                                          const std::vector<Tensor>& weights,
-                                          const QuantSpec& act_spec,
-                                          bool capture_pooled) const {
-  LP_CHECK_MSG(finalized_, "call finalize() first");
-  LP_CHECK(weights.size() == slots_.size());
-  LP_CHECK(act_spec.act_fmt.size() == slots_.size());
-  RunCtx ctx;
-  ctx.weight_override = &weights;
-  ctx.quant = &act_spec;
-  return run(input, ctx, capture_pooled);
-}
-
-ForwardResult Model::forward_with_weights(const Tensor& input,
-                                          std::span<const Tensor* const> weights,
-                                          const QuantSpec& act_spec,
-                                          bool capture_pooled) const {
-  LP_CHECK_MSG(finalized_, "call finalize() first");
-  LP_CHECK(weights.size() == slots_.size());
-  LP_CHECK(act_spec.act_fmt.size() == slots_.size());
-  RunCtx ctx;
-  ctx.weight_ptr_override = weights;
-  ctx.quant = &act_spec;
-  return run(input, ctx, capture_pooled);
-}
-
-ForwardResult Model::forward_with_weights(
-    const Tensor& input, std::span<const Tensor* const> weights,
-    std::span<const PackedCodes* const> codes, const QuantSpec& act_spec,
-    bool capture_pooled) const {
-  LP_CHECK_MSG(finalized_, "call finalize() first");
-  LP_CHECK(weights.size() == slots_.size());
-  LP_CHECK(codes.size() == slots_.size());
-  LP_CHECK(act_spec.act_fmt.size() == slots_.size());
-  RunCtx ctx;
-  ctx.weight_ptr_override = weights;
-  ctx.weight_code_override = codes;
-  ctx.quant = &act_spec;
-  return run(input, ctx, capture_pooled);
-}
-
-ForwardResult Model::forward_with_weights(
-    const Tensor& input, std::span<const Tensor* const> weights,
-    std::span<const PackedCodes* const> codes, const QuantSpec& act_spec,
-    std::span<const ActCoding> act_coding, ActTraffic* act_traffic,
-    bool capture_pooled, const ExecOpts& opts) const {
-  LP_CHECK_MSG(finalized_, "call finalize() first");
-  LP_CHECK(weights.size() == slots_.size());
-  LP_CHECK(codes.size() == slots_.size());
-  LP_CHECK(act_spec.act_fmt.size() == slots_.size());
-  LP_CHECK(act_coding.empty() || act_coding.size() == slots_.size());
-  RunCtx ctx;
-  ctx.weight_ptr_override = weights;
-  ctx.weight_code_override = codes;
-  ctx.quant = &act_spec;
-  ctx.act_coding = act_coding;
-  ctx.act_traffic = act_traffic;
-  ctx.approx = opts.approx;
-  ctx.fuse = opts.fuse;
+  ctx.plan = plan;
   return run(input, ctx, capture_pooled);
 }
 
@@ -180,66 +126,44 @@ std::vector<float> Model::measure_act_maxes(const Tensor& input) const {
 }
 
 Tensor Model::forward_node_output(const Tensor& input, std::size_t node_idx) const {
-  LP_CHECK_MSG(finalized_, "call finalize() first");
   LP_CHECK(node_idx < nodes_.size());
   if (node_idx == 0) return input;
-  std::vector<NodeValue> outputs(nodes_.size());
-  outputs[0] = NodeValue(input);
-  std::vector<const NodeValue*> in_ptrs;
-  const RunCtx ctx;
-  for (std::size_t i = 1; i <= node_idx; ++i) {
-    const Node& n = *nodes_[i];
-    in_ptrs.clear();
-    for (int in : n.inputs()) in_ptrs.push_back(&outputs[static_cast<std::size_t>(in)]);
-    outputs[i] = n.run(in_ptrs, ctx);
-    for (int in : n.inputs()) {
-      const auto uin = static_cast<std::size_t>(in);
-      if (last_use_[uin] == static_cast<int>(i) && in != 0 && uin != node_idx) {
-        outputs[uin] = NodeValue();
-      }
-    }
-  }
-  return std::move(outputs[node_idx]).into_dense();
+  Tensor out;
+  RunCtx ctx;
+  ctx.on_node = [&](std::size_t i, NodeValue& v) {
+    if (i == node_idx) out = v.dense();
+  };
+  (void)run(input, ctx);
+  return out;
 }
 
 void Model::normalize_layer_scales(const Tensor& input,
                                    std::span<const float> targets) {
-  LP_CHECK_MSG(finalized_, "call finalize() first");
-  std::vector<NodeValue> outputs(nodes_.size());
-  outputs[0] = NodeValue(input);
-  std::vector<const NodeValue*> in_ptrs;
-  const RunCtx ctx;
   int weighted_idx = 0;
-  for (std::size_t i = 1; i < nodes_.size(); ++i) {
-    Node& n = *nodes_[i];
-    in_ptrs.clear();
-    for (int in : n.inputs()) in_ptrs.push_back(&outputs[static_cast<std::size_t>(in)]);
-    Tensor out = n.run(in_ptrs, ctx).into_dense();
-    const auto node_slots = n.slots();
-    if (!node_slots.empty()) {
-      if (node_slots.size() == 1) {
-        const float target =
-            targets.empty() ? 1.0F
-                            : targets[static_cast<std::size_t>(weighted_idx)];
-        const double sd = stddev(out.data());
-        if (sd > 1e-12) {
-          const auto gain = static_cast<float>(target / sd);
-          for (float& w : node_slots[0].weight.data()) w *= gain;
-          if (!node_slots[0].bias.empty()) {
-            for (float& b : node_slots[0].bias.data()) b *= gain;
-          }
-          scale_inplace(out, gain);
+  RunCtx ctx;
+  // Each node is rescaled right after it runs, so every downstream node
+  // already sees its rescaled input.
+  ctx.on_node = [&](std::size_t i, NodeValue& v) {
+    const auto node_slots = nodes_[i]->slots();
+    if (node_slots.empty()) return;
+    if (node_slots.size() == 1) {
+      const float target =
+          targets.empty() ? 1.0F : targets[static_cast<std::size_t>(weighted_idx)];
+      Tensor out = std::move(v).into_dense();
+      const double sd = stddev(out.data());
+      if (sd > 1e-12) {
+        const auto gain = static_cast<float>(target / sd);
+        for (float& w : node_slots[0].weight.data()) w *= gain;
+        if (!node_slots[0].bias.empty()) {
+          for (float& b : node_slots[0].bias.data()) b *= gain;
         }
+        scale_inplace(out, gain);
       }
-      ++weighted_idx;
+      v = NodeValue(std::move(out));
     }
-    outputs[i] = NodeValue(std::move(out));
-    for (int in : n.inputs()) {
-      if (last_use_[static_cast<std::size_t>(in)] == static_cast<int>(i) && in != 0) {
-        outputs[static_cast<std::size_t>(in)] = NodeValue();
-      }
-    }
-  }
+    ++weighted_idx;
+  };
+  (void)run(input, ctx);
 }
 
 std::vector<int> Model::slot_node_map() const {

@@ -11,15 +11,6 @@
 
 namespace lp::nn {
 
-/// Execution options for the coded-datapath forward variants: multiply
-/// semantics (exact vs the opt-in PLAM log-domain approximation) and
-/// whether float-in coded-out layers fuse GEMM→bias→act→encode into one
-/// kernel pass (fuse=false reproduces the unfused activation flow).
-struct ExecOpts {
-  kernels::ApproxMode approx = kernels::ApproxMode::kExact;
-  bool fuse = true;
-};
-
 /// Result of a forward pass.
 struct ForwardResult {
   Tensor logits;  ///< output of the final node, [B, classes]
@@ -41,55 +32,25 @@ class Model {
   /// the slot table.
   void finalize();
 
+  /// The executor: runs every node in topological order under `ctx` — its
+  /// per-slot plan, hooks, multiply semantics and per-node callback —
+  /// dropping each value after its last consumer.  Coded output edges
+  /// flow to downstream weighted nodes as packed codes (other consumers
+  /// decode lazily); requesting pooled capture forces every edge back to
+  /// float.  Every other entry point is a plan builder over this loop.
+  [[nodiscard]] ForwardResult run(const Tensor& input, RunCtx ctx,
+                                  bool capture_pooled = false) const;
+
   /// Full-precision forward.
   [[nodiscard]] ForwardResult forward(const Tensor& input,
                                       bool capture_pooled = false) const;
 
   /// Quantized forward: weights quantized per spec before the run (the FP
-  /// weights are untouched), activations quantized in the dataflow.
+  /// weights are untouched), activations quantized in the dataflow.  The
+  /// decode-then-float reference the coded datapath is checked against.
   [[nodiscard]] ForwardResult forward_quantized(const Tensor& input,
                                                 const QuantSpec& spec,
                                                 bool capture_pooled = false) const;
-
-  /// Forward with explicit pre-quantized weight copies (e.g. per-channel
-  /// quantization, which QuantSpec's per-tensor formats cannot express).
-  /// Empty tensors in `weights` fall back to the FP weights; `act_spec`
-  /// supplies activation formats only (its weight formats are ignored).
-  [[nodiscard]] ForwardResult forward_with_weights(
-      const Tensor& input, const std::vector<Tensor>& weights,
-      const QuantSpec& act_spec, bool capture_pooled = false) const;
-
-  /// Zero-copy variant: per-slot borrowed weight pointers (null entries
-  /// fall back to the FP weights).  This is the entry point the runtime
-  /// layer uses so one cached quantized tensor can serve many runs without
-  /// per-run copies.  The pointed-to tensors must outlive the call.
-  [[nodiscard]] ForwardResult forward_with_weights(
-      const Tensor& input, std::span<const Tensor* const> weights,
-      const QuantSpec& act_spec, bool capture_pooled = false) const;
-
-  /// Packed-code variant: slots with a non-null `codes` entry run the
-  /// LUT-decoding GEMM datapath (bit-identical to decoding first); null
-  /// code entries fall back to `weights`, then to the FP weights.  This
-  /// is what the runtime layer calls once its weight-code cache holds
-  /// packed payloads.  Pointed-to objects must outlive the call.
-  [[nodiscard]] ForwardResult forward_with_weights(
-      const Tensor& input, std::span<const Tensor* const> weights,
-      std::span<const PackedCodes* const> codes, const QuantSpec& act_spec,
-      bool capture_pooled = false) const;
-
-  /// Coded-activation variant: slots with a populated `act_coding` entry
-  /// emit their output activations as packed codes, which downstream
-  /// weighted nodes consume coded (other consumers decode lazily) — the
-  /// logits are bit-identical to the packed-code variant above.
-  /// `act_coding` must be empty or slot-sized; `act_traffic` (optional)
-  /// accumulates the activation bytes each weighted node produced.
-  /// Requesting pooled capture forces every edge back to float.  `opts`
-  /// selects multiply semantics and float-in fusion (see ExecOpts).
-  [[nodiscard]] ForwardResult forward_with_weights(
-      const Tensor& input, std::span<const Tensor* const> weights,
-      std::span<const PackedCodes* const> codes, const QuantSpec& act_spec,
-      std::span<const ActCoding> act_coding, ActTraffic* act_traffic,
-      bool capture_pooled = false, const ExecOpts& opts = {}) const;
 
   /// Record the GEMM workload list for one example input (batch included
   /// in the N dimensions).
@@ -144,9 +105,6 @@ class Model {
   [[nodiscard]] const Node& node(std::size_t i) const { return *nodes_[i]; }
 
  private:
-  [[nodiscard]] ForwardResult run(const Tensor& input, RunCtx ctx,
-                                  bool capture_pooled) const;
-
   std::string name_;
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<WeightSlot*> slots_;

@@ -4,13 +4,17 @@
 // outputs of earlier nodes and produces one tensor.  Nodes that own weights
 // (conv, linear, attention projections, patch embed/merge) expose them as
 // WeightSlots — the unit of quantization LPQ searches over.  Execution is
-// parameterized by RunCtx, which optionally
-//   * substitutes quantized weight copies per slot,
-//   * quantizes the activations a slot produces,
-//   * captures Kurtosis-3-pooled intermediate representations, and
-//   * records the GEMM workloads for the accelerator simulator.
+// parameterized by RunCtx, which carries
+//   * one SlotPlan per slot: the weights its GEMM reads (packed codes, a
+//     pre-quantized float copy, or the FP weights), the activation format
+//     quantizing its output, and whether that output leaves as codes;
+//   * hooks that capture Kurtosis-3-pooled intermediate representations
+//     and activation statistics, record the GEMM workloads for the
+//     accelerator simulator, and account activation bytes; and
+//   * a per-node callback that Model::run invokes after every node.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -110,23 +114,36 @@ struct ActTraffic {
   std::int64_t coded_bytes = 0;  ///< activations produced as packed codes
 };
 
+/// How one weight slot executes.  Every pointer is borrowed and must
+/// outlive the run; a default-constructed plan is the full-precision slot.
+struct SlotPlan {
+  /// Packed weight codes: the slot's GEMM runs the LUT-decoding kernels
+  /// instead of expanding the weights to float32 — bit-identical output,
+  /// 4-8x fewer weight bytes streamed.
+  const PackedCodes* codes = nullptr;
+  /// Pre-quantized float weights, used when `codes` is null (slots the
+  /// packed path cannot serve, per-channel quantizers).  Both null = the
+  /// node's FP weights.  Either way the shape is the FP weights' shape.
+  const Tensor* weight = nullptr;
+  /// Activation format quantizing the slot's output (null = none).
+  const NumberFormat* act = nullptr;
+  /// Coded output edge (null = float): the slot's weighted node emits its
+  /// output as packed codes through this spec — bit-identical under
+  /// decode to quantizing through `act`.  Non-null entries carry a qidx
+  /// and a lut.
+  const ActCoding* out = nullptr;
+
+  /// The weight tensor the slot's GEMM reads when it has no codes.
+  [[nodiscard]] const Tensor& weight_or(const Tensor& fp) const {
+    return weight != nullptr ? *weight : fp;
+  }
+};
+
 /// Execution context threaded through every node.
 struct RunCtx {
-  /// Quantized weight copies, indexed by slot; empty = use FP weights.
-  const std::vector<Tensor>* weight_override = nullptr;
-  /// Borrowed per-slot weight pointers (null entries = FP weights).  The
-  /// zero-copy variant of weight_override used by the runtime layer, whose
-  /// weight-code cache shares one quantized tensor across many runs.
-  /// Checked before weight_override.
-  std::span<const Tensor* const> weight_ptr_override;
-  /// Borrowed per-slot packed weight codes (null entries fall through to
-  /// the float overrides above).  When a slot has codes, weighted nodes
-  /// run the LUT-decoding GEMM kernels instead of expanding the weights
-  /// to float32 — bit-identical output, 4-8x fewer weight bytes streamed.
-  /// Checked before both float overrides.
-  std::span<const PackedCodes* const> weight_code_override;
-  /// Activation formats per slot; null entries = no activation quant.
-  const QuantSpec* quant = nullptr;
+  /// Per-slot plan, indexed by global slot: empty (every slot full
+  /// precision) or slot-sized.
+  std::span<const SlotPlan> plan;
   /// When non-null, weighted nodes append per-sample Kurtosis-3 pooled
   /// representations of their output (one row per weighted node).
   std::vector<std::vector<float>>* pooled_capture = nullptr;
@@ -140,12 +157,6 @@ struct RunCtx {
   std::vector<float>* act_max_capture = nullptr;
   /// When non-null, nodes append their GEMM workloads.
   std::vector<LayerWorkload>* workloads = nullptr;
-  /// Per-slot coded-activation specs (empty, or a null-qidx entry, = the
-  /// slot's output stays float).  When a slot has one and no value-capture
-  /// hook is active, its weighted node emits packed codes instead of a
-  /// float tensor — bit-identical under decode to the quantized float
-  /// activations.
-  std::span<const ActCoding> act_coding;
   /// When non-null, weighted nodes account the activation bytes they
   /// produced (coded or float).
   ActTraffic* act_traffic = nullptr;
@@ -154,54 +165,15 @@ struct RunCtx {
   /// opt-in log-domain approximate multiply.  Convolution always runs
   /// exact (its GroupGemm layout has no approximate kernel).
   kernels::ApproxMode approx = kernels::ApproxMode::kExact;
-  /// When true, weighted nodes with coded weights and a coded output
-  /// spec fuse GEMM→bias→act→encode in one kernel pass even when their
-  /// *input* arrives as floats (the both-coded fusion is always on).
-  /// Off reproduces the pre-fusion activation flow: finish the float
-  /// block, then encode through encode_acts.
-  bool fuse = true;
+  /// When set, Model::run calls it with each node's index and output as
+  /// soon as the node has run; a replaced value is what downstream nodes
+  /// consume.
+  std::function<void(std::size_t node, NodeValue& out)> on_node;
 
-  /// Resolve the weight tensor for a slot.
-  [[nodiscard]] const Tensor& weight(int slot, const Tensor& fp) const {
-    if (slot >= 0 && static_cast<std::size_t>(slot) < weight_ptr_override.size() &&
-        weight_ptr_override[static_cast<std::size_t>(slot)] != nullptr) {
-      return *weight_ptr_override[static_cast<std::size_t>(slot)];
-    }
-    if (weight_override != nullptr && slot >= 0 &&
-        static_cast<std::size_t>(slot) < weight_override->size() &&
-        !(*weight_override)[static_cast<std::size_t>(slot)].empty()) {
-      return (*weight_override)[static_cast<std::size_t>(slot)];
-    }
-    return fp;
-  }
-
-  /// Packed codes for a slot, or null (no codes — use weight()).  When
-  /// non-null the slot's weight() entry resolves to the FP weights, whose
-  /// shape the codes share, so shape-only uses (workload tracing) stay on
-  /// the tensor while the compute runs on the codes.
-  [[nodiscard]] const PackedCodes* weight_codes(int slot) const {
-    if (slot >= 0 &&
-        static_cast<std::size_t>(slot) < weight_code_override.size()) {
-      return weight_code_override[static_cast<std::size_t>(slot)];
-    }
-    return nullptr;
-  }
-
-  [[nodiscard]] const NumberFormat* act_format(int slot) const {
-    if (quant == nullptr || slot < 0 ||
-        static_cast<std::size_t>(slot) >= quant->act_fmt.size()) {
-      return nullptr;
-    }
-    return quant->act_fmt[static_cast<std::size_t>(slot)];
-  }
-
-  /// Coded-activation spec for a slot, or null (float output).
-  [[nodiscard]] const ActCoding* act_coding_for(int slot) const {
-    if (slot < 0 || static_cast<std::size_t>(slot) >= act_coding.size()) {
-      return nullptr;
-    }
-    const ActCoding& c = act_coding[static_cast<std::size_t>(slot)];
-    return (c.qidx != nullptr && c.lut != nullptr) ? &c : nullptr;
+  /// The plan of one slot (the full-precision plan when `plan` is empty).
+  [[nodiscard]] const SlotPlan& slot(int s) const {
+    static constexpr SlotPlan kFullPrecision{};
+    return plan.empty() ? kFullPrecision : plan[static_cast<std::size_t>(s)];
   }
 
   /// True when any value-capture hook needs the float activations; coded

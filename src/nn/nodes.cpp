@@ -45,10 +45,16 @@ int act_kernel(Act act) {
   return kernels::kActNone;
 }
 
-/// The coded-output spec for a slot, or null when this run's hooks force
-/// the float path (value captures read float activations).
+/// The coded-output spec for a slot, or null when its edge is float or
+/// this run's hooks force the float path (value captures read float
+/// activations).
 const ActCoding* out_coding(const RunCtx& ctx, int slot) {
-  return ctx.capturing() ? nullptr : ctx.act_coding_for(slot);
+  return ctx.capturing() ? nullptr : ctx.slot(slot).out;
+}
+
+/// Encode-epilogue spec for a coded output edge, applying `act` first.
+ActEncodeSpec encode_spec(const ActCoding& c, int act) {
+  return {c.qidx->view(), c.lut, c.bits, act};
 }
 
 void count_coded(const RunCtx& ctx, const PackedCodes& out) {
@@ -68,19 +74,18 @@ void count_float(const RunCtx& ctx, const Tensor& out) {
 /// Post-GEMM tail for a weighted node holding a float result with the
 /// nonlinearity already applied: on a coded edge, encode it (the decoded
 /// stream equals the quantized floats); on encode failure (non-finite
-/// elements) or a float edge, quantize in place — the two tails produce
-/// value-identical activations.
-NodeValue finish_act(const RunCtx& ctx, int slot, const ActCoding* coding,
-                     Tensor out) {
+/// elements) or a float edge, quantize in place through `fmt` — the two
+/// tails produce value-identical activations.
+NodeValue finish_act(const RunCtx& ctx, const ActCoding* coding,
+                     const NumberFormat* fmt, Tensor out) {
   if (coding != nullptr) {
-    auto enc = encode_acts(out, {coding->qidx->view(), coding->lut,
-                                 coding->bits, kernels::kActNone});
+    auto enc = encode_acts(out, encode_spec(*coding, kernels::kActNone));
     if (enc.has_value()) {
       count_coded(ctx, *enc);
       return NodeValue(std::move(*enc));
     }
   }
-  quantize_activations(out, ctx.act_format(slot));
+  quantize_activations(out, fmt);
   capture_pooled(ctx, out);
   count_float(ctx, out);
   return NodeValue(std::move(out));
@@ -151,7 +156,8 @@ Conv2dNode::Conv2dNode(int input, std::string name, Tensor weight, Tensor bias,
 NodeValue Conv2dNode::run(std::span<const NodeValue* const> x,
                           const RunCtx& ctx) const {
   const int s = first_slot();
-  const Tensor& w = ctx.weight(s, slot_.weight);
+  const SlotPlan& p = ctx.slot(s);
+  const Tensor& w = p.weight_or(slot_.weight);
   const NodeValue& in = *x[0];
   if (ctx.workloads != nullptr) {
     const auto& ish = in.shape();
@@ -164,49 +170,41 @@ NodeValue Conv2dNode::run(std::span<const NodeValue* const> x,
                               ish[0] * ho * wo, s});
   }
   const Tensor* bias = slot_.bias.empty() ? nullptr : &slot_.bias;
-  const PackedCodes* codes = ctx.weight_codes(s);
   const ActCoding* coding = out_coding(ctx, s);
   const PackedCodes* icodes = in.codes();
   // Coded patches need a code that decodes to the float im2col's exact
   // padding zero; a LUT without one drops the edge to the dense input.
   const std::int64_t zc =
       icodes != nullptr ? lut_zero_code(*icodes->lut()) : -1;
+  const bool coded_in = zc >= 0;
 
-  // Fully coded: coded weights x coded patches with the fused
-  // bias+act+encode scatter — the output never materializes as floats.
-  if (codes != nullptr && icodes != nullptr && zc >= 0 && coding != nullptr) {
-    auto out = conv2d_codes_codes_enc(
-        *icodes, *codes, bias, spec_, static_cast<std::uint32_t>(zc),
-        {coding->qidx->view(), coding->lut, coding->bits, act_kernel(act_)});
+  // Coded weights, coded output: bias+act+encode run fused in the conv
+  // scatter, so the output never materializes as floats — whether the
+  // patches gather as codes or from a dense input.
+  if (p.codes != nullptr && coding != nullptr) {
+    const ActEncodeSpec enc = encode_spec(*coding, act_kernel(act_));
+    auto out = coded_in
+                   ? conv2d_codes_codes_enc(*icodes, *p.codes, bias, spec_,
+                                            static_cast<std::uint32_t>(zc), enc)
+                   : conv2d_codes_enc(in.dense(), *p.codes, bias, spec_, enc);
     if (out.has_value()) {
       count_coded(ctx, *out);
       return NodeValue(std::move(*out));
     }
   }
-  // Float input (or a LUT without a padding zero), coded weights, coded
-  // output: fuse bias+act+encode into the conv scatter so the output
-  // skips the float round-trip even though the input arrived dense.
-  if (codes != nullptr && !(icodes != nullptr && zc >= 0) &&
-      coding != nullptr && ctx.fuse) {
-    auto out = conv2d_codes_enc(
-        in.dense(), *codes, bias, spec_,
-        {coding->qidx->view(), coding->lut, coding->bits, act_kernel(act_)});
-    if (out.has_value()) {
-      count_coded(ctx, *out);
-      return NodeValue(std::move(*out));
-    }
-  }
+  // A float edge, float weights, or the non-finite escape: finish the
+  // float block, then encode or quantize it.
   Tensor out;
-  if (codes != nullptr && icodes != nullptr && zc >= 0) {
-    out = conv2d_codes_codes(*icodes, *codes, bias, spec_,
+  if (p.codes != nullptr && coded_in) {
+    out = conv2d_codes_codes(*icodes, *p.codes, bias, spec_,
                              static_cast<std::uint32_t>(zc));
-  } else if (codes != nullptr) {
-    out = conv2d_codes(in.dense(), *codes, bias, spec_);
+  } else if (p.codes != nullptr) {
+    out = conv2d_codes(in.dense(), *p.codes, bias, spec_);
   } else {
     out = conv2d(in.dense(), w, bias, spec_);
   }
   apply_act(out, act_);
-  return finish_act(ctx, s, coding, std::move(out));
+  return finish_act(ctx, coding, p.act, std::move(out));
 }
 
 LinearNode::LinearNode(int input, std::string name, Tensor weight, Tensor bias,
@@ -222,7 +220,8 @@ LinearNode::LinearNode(int input, std::string name, Tensor weight, Tensor bias,
 NodeValue LinearNode::run(std::span<const NodeValue* const> x,
                           const RunCtx& ctx) const {
   const int s = first_slot();
-  const Tensor& w = ctx.weight(s, slot_.weight);
+  const SlotPlan& p = ctx.slot(s);
+  const Tensor& w = p.weight_or(slot_.weight);
   const NodeValue& in = *x[0];
   const auto& ish = in.shape();
   LP_CHECK(ish.size() == 2 || ish.size() == 3);
@@ -231,52 +230,43 @@ NodeValue LinearNode::run(std::span<const NodeValue* const> x,
     ctx.workloads->push_back({name(), w.dim(0), w.dim(1), rows, s});
   }
   const Tensor* bias = slot_.bias.empty() ? nullptr : &slot_.bias;
-  const PackedCodes* codes = ctx.weight_codes(s);
   const ActCoding* coding = out_coding(ctx, s);
   const PackedCodes* icodes = in.codes();
+  // The dense kernels take rank-3 token activations as [rows, K].
+  auto dense_rows = [&] {
+    const Tensor& d = in.dense();
+    return ish.size() == 3 ? d.reshaped({rows, ish[2]}) : d;
+  };
 
-  // Fully coded: both operands decode inside the kernel and the output is
-  // encoded in the epilogue — codes in, codes out.
-  if (codes != nullptr && icodes != nullptr && coding != nullptr) {
-    auto out = matmul_nt_codes_codes_enc(
-        *icodes, *codes, bias,
-        {coding->qidx->view(), coding->lut, coding->bits, act_kernel(act_)},
-        ctx.approx);
+  // Coded weights, coded output: GEMM→bias→act→encode in one kernel pass,
+  // so the layer's activations never exist as a float tensor — whether
+  // the input arrived as codes or dense.
+  if (p.codes != nullptr && coding != nullptr) {
+    const ActEncodeSpec enc = encode_spec(*coding, act_kernel(act_));
+    auto out = icodes != nullptr
+                   ? matmul_nt_codes_codes_enc(*icodes, *p.codes, bias, enc,
+                                               ctx.approx)
+                   : matmul_nt_codes_enc(dense_rows(), *p.codes, bias, enc,
+                                         ctx.approx);
     if (out.has_value()) {
       if (ish.size() == 3) out->reshape({ish[0], ish[1], w.dim(0)});
       count_coded(ctx, *out);
       return NodeValue(std::move(*out));
     }
   }
-  // Float input, coded weights, coded output: fuse GEMM→bias→act→encode
-  // in one kernel pass — the layer's activations never exist as a float
-  // tensor even though its input arrived dense.
-  if (codes != nullptr && icodes == nullptr && coding != nullptr && ctx.fuse) {
-    const Tensor& d = in.dense();
-    const Tensor in2 = (ish.size() == 3) ? d.reshaped({rows, ish[2]}) : d;
-    auto out = matmul_nt_codes_enc(
-        in2, *codes, bias,
-        {coding->qidx->view(), coding->lut, coding->bits, act_kernel(act_)},
-        ctx.approx);
-    if (out.has_value()) {
-      if (ish.size() == 3) out->reshape({ish[0], ish[1], w.dim(0)});
-      count_coded(ctx, *out);
-      return NodeValue(std::move(*out));
-    }
-  }
+  // A float edge, float weights, or the non-finite escape: finish the
+  // float block, then encode or quantize it.
   Tensor out;
-  if (codes != nullptr && icodes != nullptr) {
-    out = matmul_nt_codes_codes(*icodes, *codes, bias, ctx.approx);
+  if (p.codes != nullptr && icodes != nullptr) {
+    out = matmul_nt_codes_codes(*icodes, *p.codes, bias, ctx.approx);
+  } else if (p.codes != nullptr) {
+    out = matmul_nt_codes(dense_rows(), *p.codes, bias, ctx.approx);
   } else {
-    const Tensor& d = in.dense();
-    const Tensor in2 =
-        (ish.size() == 3) ? d.reshaped({rows, ish[2]}) : d;
-    out = codes != nullptr ? matmul_nt_codes(in2, *codes, bias, ctx.approx)
-                           : matmul_nt(in2, w, bias);
+    out = matmul_nt(dense_rows(), w, bias);
   }
   if (ish.size() == 3) out = out.reshaped({ish[0], ish[1], w.dim(0)});
   apply_act(out, act_);
-  return finish_act(ctx, s, coding, std::move(out));
+  return finish_act(ctx, coding, p.act, std::move(out));
 }
 
 AttentionNode::AttentionNode(int input, std::string name, int dim, int heads,
@@ -312,18 +302,17 @@ Tensor AttentionNode::attend(const Tensor& tokens, const RunCtx& ctx) const {
   std::array<Tensor, 3> qkv;
   for (int i = 0; i < 3; ++i) {
     const auto& sl = slots_[static_cast<std::size_t>(i)];
-    const Tensor& w = ctx.weight(s0 + i, sl.weight);
+    const SlotPlan& p = ctx.slot(s0 + i);
+    const Tensor& w = p.weight_or(sl.weight);
     if (ctx.workloads != nullptr) {
       ctx.workloads->push_back({name() + '.' + "qkv"[i], w.dim(0), w.dim(1),
                                 b * t, s0 + i});
     }
     const Tensor* bias = sl.bias.empty() ? nullptr : &sl.bias;
-    const PackedCodes* codes = ctx.weight_codes(s0 + i);
     qkv[static_cast<std::size_t>(i)] =
-        codes != nullptr ? matmul_nt_codes(flat, *codes, bias, ctx.approx)
-                         : matmul_nt(flat, w, bias);
-    quantize_activations(qkv[static_cast<std::size_t>(i)],
-                         ctx.act_format(s0 + i));
+        p.codes != nullptr ? matmul_nt_codes(flat, *p.codes, bias, ctx.approx)
+                           : matmul_nt(flat, w, bias);
+    quantize_activations(qkv[static_cast<std::size_t>(i)], p.act);
   }
   if (ctx.workloads != nullptr) {
     // Activation-activation matmuls: scores and attention-times-values.
@@ -357,19 +346,19 @@ Tensor AttentionNode::attend(const Tensor& tokens, const RunCtx& ctx) const {
   }
   // The v-projection's activation format also covers the softmax(QK)V
   // output (the PPU requantizes partial results on-chip).
-  quantize_activations(concat, ctx.act_format(s0 + 2));
+  quantize_activations(concat, ctx.slot(s0 + 2).act);
 
   const auto& so = slots_[3];
-  const Tensor& wo = ctx.weight(s0 + 3, so.weight);
+  const SlotPlan& po = ctx.slot(s0 + 3);
+  const Tensor& wo = po.weight_or(so.weight);
   if (ctx.workloads != nullptr) {
     ctx.workloads->push_back({name() + ".o", wo.dim(0), wo.dim(1), b * t, s0 + 3});
   }
   const Tensor* obias = so.bias.empty() ? nullptr : &so.bias;
-  const PackedCodes* ocodes = ctx.weight_codes(s0 + 3);
-  Tensor out = ocodes != nullptr
-                   ? matmul_nt_codes(concat, *ocodes, obias, ctx.approx)
+  Tensor out = po.codes != nullptr
+                   ? matmul_nt_codes(concat, *po.codes, obias, ctx.approx)
                    : matmul_nt(concat, wo, obias);
-  quantize_activations(out, ctx.act_format(s0 + 3));
+  quantize_activations(out, po.act);
   return out.reshaped({b, t, d});
 }
 
@@ -586,43 +575,30 @@ NodeValue PatchMergeNode::run(std::span<const NodeValue* const> x,
     }
   }
   const int s = first_slot();
-  const Tensor& w = ctx.weight(s, slot_.weight);
+  const SlotPlan& p = ctx.slot(s);
+  const Tensor& w = p.weight_or(slot_.weight);
   if (ctx.workloads != nullptr) {
     ctx.workloads->push_back({name(), w.dim(0), w.dim(1), gathered.dim(0), s});
   }
   const Tensor* bias = slot_.bias.empty() ? nullptr : &slot_.bias;
-  const PackedCodes* codes = ctx.weight_codes(s);
   const ActCoding* coding = out_coding(ctx, s);
+  const std::vector<std::int64_t> out_shape{b, oh * ow, w.dim(0)};
   // Coded weights + coded output: fuse GEMM→bias→encode (patch merge has
   // no nonlinearity) so the merged tokens leave only as codes.
-  if (codes != nullptr && coding != nullptr && ctx.fuse) {
-    auto enc = matmul_nt_codes_enc(gathered, *codes, bias,
-                                   {coding->qidx->view(), coding->lut,
-                                    coding->bits, kernels::kActNone},
+  if (p.codes != nullptr && coding != nullptr) {
+    auto enc = matmul_nt_codes_enc(gathered, *p.codes, bias,
+                                   encode_spec(*coding, kernels::kActNone),
                                    ctx.approx);
     if (enc.has_value()) {
-      enc->reshape({b, oh * ow, w.dim(0)});
+      enc->reshape(out_shape);
       count_coded(ctx, *enc);
       return NodeValue(std::move(*enc));
     }
   }
-  Tensor out = codes != nullptr
-                   ? matmul_nt_codes(gathered, *codes, bias, ctx.approx)
-                   : matmul_nt(gathered, w, bias);
-  if (coding != nullptr) {
-    auto enc = encode_acts(out, {coding->qidx->view(), coding->lut,
-                                 coding->bits, kernels::kActNone});
-    if (enc.has_value()) {
-      enc->reshape({b, oh * ow, w.dim(0)});
-      count_coded(ctx, *enc);
-      return NodeValue(std::move(*enc));
-    }
-  }
-  quantize_activations(out, ctx.act_format(s));
-  Tensor shaped = out.reshaped({b, oh * ow, w.dim(0)});
-  capture_pooled(ctx, shaped);
-  count_float(ctx, shaped);
-  return NodeValue(std::move(shaped));
+  const Tensor out = p.codes != nullptr
+                         ? matmul_nt_codes(gathered, *p.codes, bias, ctx.approx)
+                         : matmul_nt(gathered, w, bias);
+  return finish_act(ctx, coding, p.act, out.reshaped(out_shape));
 }
 
 }  // namespace lp::nn

@@ -5,8 +5,9 @@
 // The architectures keep the layer types, depths, block structure and
 // relative widths of the originals; absolute widths and input resolution
 // are scaled so that LPQ's population-based search runs on a CPU in
-// seconds-to-minutes (see DESIGN.md section 2).  Weights are synthesized by
-// nn::init_weights and scale-calibrated so activations stay bounded.
+// seconds-to-minutes (see README.md, "Substrate substitutions").
+// Weights are synthesized by nn::init_weights and scale-calibrated so
+// activations stay bounded.
 #pragma once
 
 #include <cstdint>

@@ -5,9 +5,21 @@ namespace lp::runtime {
 nn::ForwardResult QuantizedModel::run(const Tensor& input, bool capture_pooled,
                                       nn::ActTraffic* act_traffic) const {
   LP_CHECK_MSG(model_ != nullptr, "empty QuantizedModel");
-  return model_->forward_with_weights(input, weight_ptrs_, code_ptrs_,
-                                      act_spec_, act_coding_, act_traffic,
-                                      capture_pooled, exec_);
+  // Built per run, so the plan never points into a copied-from snapshot.
+  std::vector<nn::SlotPlan> plan(codes_.size());
+  for (std::size_t s = 0; s < plan.size(); ++s) {
+    plan[s].codes = codes_[s].get();
+    plan[s].weight = weights_[s].get();
+    plan[s].act = act_fmts_[s].get();
+    if (s < act_coding_.size() && act_coding_[s].qidx != nullptr) {
+      plan[s].out = &act_coding_[s];
+    }
+  }
+  nn::RunCtx ctx;
+  ctx.plan = plan;
+  ctx.act_traffic = act_traffic;
+  ctx.approx = approx_;
+  return model_->run(input, ctx, capture_pooled);
 }
 
 std::vector<nn::LayerWorkload> QuantizedModel::trace_workloads(

@@ -5,12 +5,14 @@
 // A snapshot is cheap to build (pointer copies once the cache is warm) and
 // cheap to copy, so the LPQ engine materializes one per candidate and
 // evaluates them concurrently; shared ownership keeps every referenced
-// payload alive even if the cache evicts it mid-flight.  run() executes
-// the fused per-node quantize -> GEMM -> activation pipeline on the
-// default thread pool and the dispatched SIMD kernels; slots with packed
-// codes run the LUT-decoding GEMM datapath (slots the packed path cannot
-// serve carry a pre-quantized float tensor instead) — in either case
-// bit-identical to Model::forward_quantized with the equivalent QuantSpec.
+// payload alive even if the cache evicts it mid-flight.  run() hands
+// Model::run one nn::SlotPlan per slot, built from the shared payloads;
+// it executes the fused per-node quantize -> GEMM -> activation pipeline
+// on the default thread pool and the dispatched SIMD kernels.  Slots with
+// packed codes run the LUT-decoding GEMM datapath (slots the packed path
+// cannot serve carry a pre-quantized float tensor instead) — in either
+// case bit-identical to Model::forward_quantized with the equivalent
+// QuantSpec.
 #pragma once
 
 #include <memory>
@@ -77,9 +79,6 @@ class QuantizedModel {
   [[nodiscard]] std::span<const nn::ActCoding> act_coding() const {
     return act_coding_;
   }
-  /// Execution options the session stamped into this snapshot (multiply
-  /// semantics and float-in fusion — see nn::ExecOpts).
-  [[nodiscard]] const nn::ExecOpts& exec_opts() const { return exec_; }
 
  private:
   friend class InferenceSession;
@@ -89,13 +88,11 @@ class QuantizedModel {
   std::vector<std::shared_ptr<const Tensor>> weights_;
   std::vector<std::shared_ptr<const LPFormat>> weight_fmts_;
   std::vector<std::shared_ptr<const LPFormat>> act_fmts_;
-  std::vector<const PackedCodes*> code_ptrs_;  ///< aligned view of codes_
-  std::vector<const Tensor*> weight_ptrs_;     ///< aligned view of weights_
-  nn::QuantSpec act_spec_;                     ///< act_fmt filled, weights null
   /// Per-slot coded-activation specs; the shared_ptr LUT inside each entry
   /// keeps the cache's activation decode tables alive for this snapshot.
   std::vector<nn::ActCoding> act_coding_;
-  nn::ExecOpts exec_;  ///< stamped from SessionOptions at assembly
+  /// Multiply semantics, stamped from SessionOptions at assembly.
+  kernels::ApproxMode approx_ = kernels::ApproxMode::kExact;
 };
 
 }  // namespace lp::runtime

@@ -177,12 +177,9 @@ QuantizedModel InferenceSession::assemble(std::span<const LPConfig> weight_cfgs,
   qm.weights_.resize(n);
   qm.weight_fmts_.resize(n);
   qm.act_fmts_.resize(n);
-  qm.code_ptrs_.assign(n, nullptr);
-  qm.weight_ptrs_.assign(n, nullptr);
-  qm.act_spec_.resize(n);
   const bool coded_acts = opts_.coded_activations && !act_cfgs.empty();
   if (coded_acts) qm.act_coding_.resize(n);
-  qm.exec_ = nn::ExecOpts{opts_.approx, opts_.fuse};
+  qm.approx_ = opts_.approx;
   for (std::size_t s = 0; s < n; ++s) {
     // get() (not find()) so assembly stamps format recency for the
     // generational sweep; this phase is serial, so stamping is safe.
@@ -191,11 +188,8 @@ QuantizedModel InferenceSession::assemble(std::span<const LPConfig> weight_cfgs,
     LP_CHECK_MSG(!payload.empty(), "slot " << s << " not prepared");
     qm.codes_[s] = std::move(payload.codes);
     qm.weights_[s] = std::move(payload.floats);
-    qm.code_ptrs_[s] = qm.codes_[s].get();
-    qm.weight_ptrs_[s] = qm.weights_[s].get();
     if (!act_cfgs.empty()) {
       qm.act_fmts_[s] = formats_.get(act_cfgs[s]);
-      qm.act_spec_.act_fmt[s] = qm.act_fmts_[s].get();
       if (coded_acts) {
         // The qidx points into the interned LPFormat and the LUT into the
         // cache's activation table — both shared-owned by the snapshot.

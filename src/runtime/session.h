@@ -90,10 +90,6 @@ struct SessionOptions {
   /// session assembles.  Defaults to the LP_APPROX env selection (exact
   /// unless LP_APPROX=plam) so serving processes opt in without a rebuild.
   kernels::ApproxMode approx = kernels::approx_mode();
-  /// Fuse GEMM→bias→act→encode for float-in coded-out layers (the
-  /// both-coded fusion is always on).  Off reproduces the unfused flow —
-  /// the A/B lever bench_micro's ForwardFused counters measure.
-  bool fuse = true;
 };
 
 class InferenceSession {

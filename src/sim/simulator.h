@@ -1,7 +1,7 @@
-// Cycle-level performance/energy simulator (DnnWeaver-style substitute,
-// DESIGN.md section 2): schedules a model's GEMM workloads onto a
-// weight-stationary systolic accelerator and rolls up cycles, memory
-// traffic and energy.
+// Cycle-level performance/energy simulator (DnnWeaver-style substitute;
+// see README.md, "Substrate substitutions"): schedules a model's
+// GEMM workloads onto a weight-stationary systolic accelerator and rolls
+// up cycles, memory traffic and energy.
 //
 // Tiling model: the array processes K_tile = rows reduction rows and
 // M_tile = cols * packing / fusion output columns per pass, streaming the

@@ -573,7 +573,8 @@ std::optional<PackedCodes> conv2d_codes_enc(const Tensor& input,
                                                        stride, run);
         };
       });
-  if (!ok) return std::nullopt;
+  // Same escape-hatch injection as the fused nt GEMM drivers.
+  if (LP_FAULT_POINT("kernel.epilogue.nonfinite") || !ok) return std::nullopt;
   return PackedCodes::from_codes(std::move(codes), std::move(out_shape),
                                  enc.bits, enc.lut);
 }
@@ -702,7 +703,7 @@ std::optional<PackedCodes> conv2d_codes_codes_enc(const PackedCodes& input,
                                                        stride, run);
         };
       });
-  if (!ok) return std::nullopt;
+  if (LP_FAULT_POINT("kernel.epilogue.nonfinite") || !ok) return std::nullopt;
   return PackedCodes::from_codes(std::move(codes), std::move(out_shape),
                                  enc.bits, enc.lut);
 }

@@ -1,6 +1,7 @@
 // Minimal dense float tensor used as the substrate for the DNN models that
 // LPQ quantizes.  The paper's experiments run on PyTorch; this library
-// provides the forward-pass subset LPQ needs (see DESIGN.md section 2).
+// provides the forward-pass subset LPQ needs (see README.md, "Substrate
+// substitutions").
 //
 // Design: contiguous row-major float32 storage with value semantics.  All
 // shape arithmetic is checked (LP_CHECK) so misuse surfaces as exceptions,

@@ -146,40 +146,6 @@ TEST(CodedActivations, ForwardBitIdenticalOnLargerZooModels) {
   }
 }
 
-TEST(CodedActivations, FuseOffReproducesFusedForwardBitExactly) {
-  // SessionOptions::fuse toggles only the float-in fused encode; both
-  // settings must produce bit-identical logits (the fused pass applies
-  // the same act_eval + nearest-index encode the unfused flow does) —
-  // this is the invariant behind the BM_ForwardFused A/B benchmark.
-  PoolGuard guard;
-  set_default_pool_threads(4);
-  for (const char* name : {"tiny_cnn", "tiny_vit"}) {
-    const nn::Model m = nn::build_model(name, small_opts());
-    const Tensor x = random_batch(4, 3, 16, 83);
-    const auto w = varied_weight_cfgs(m);
-    const auto a = varied_act_cfgs(w);
-
-    runtime::InferenceSession fused(m);  // fuse defaults on
-    fused.set_formats(w, a);
-    nn::ActTraffic fused_traffic;
-    const auto got = fused.run(x, false, &fused_traffic);
-
-    runtime::SessionOptions unfused_opts;
-    unfused_opts.fuse = false;
-    runtime::InferenceSession unfused(m, unfused_opts);
-    unfused.set_formats(w, a);
-    nn::ActTraffic unfused_traffic;
-    const auto ref = unfused.run(x, false, &unfused_traffic);
-
-    ASSERT_TRUE(bits_equal(got.logits, ref.logits)) << name;
-    // Same coded edges either way — fusion changes how codes are made,
-    // never whether.
-    EXPECT_EQ(fused_traffic.coded_bytes, unfused_traffic.coded_bytes) << name;
-    EXPECT_EQ(fused_traffic.float_bytes, unfused_traffic.float_bytes) << name;
-    EXPECT_GT(fused_traffic.coded_bytes, 0) << name;
-  }
-}
-
 TEST(CodedActivations, PlamSessionRunsAndApproximationEngages) {
   // LP_APPROX=plam end-to-end smoke at the session level: the snapshot
   // executes, logits stay finite, and the approximate multiply actually
@@ -231,10 +197,10 @@ TEST(CodedActivations, CaptureHooksForceFloatPathAndStayBitIdentical) {
 }
 
 TEST(CodedActivations, PerEdgeFloatFallback) {
-  // A slot-sized act_coding span with null entries on odd slots: those
-  // edges stay float, coded edges stay coded, logits unchanged.  Exercised
-  // directly through the Model overload (the session builds all-or-nothing
-  // spans; the per-edge contract must hold regardless).
+  // A plan whose odd slots have no coded output edge: those edges stay
+  // float, coded edges stay coded, logits unchanged.  Exercised directly
+  // through Model::run (the session codes all edges or none; the per-edge
+  // contract must hold regardless).
   const nn::Model m = nn::build_tiny_cnn(small_opts());
   const Tensor x = random_batch(2, 3, 16, 13);
   const auto wc = varied_weight_cfgs(m);
@@ -253,21 +219,24 @@ TEST(CodedActivations, PerEdgeFloatFallback) {
   const auto ref = m.forward_quantized(x, spec);
 
   const std::vector<Tensor> qweights = nn::quantize_weights(m, spec);
-  std::vector<const Tensor*> wptrs(n);
-  for (std::size_t s = 0; s < n; ++s) wptrs[s] = &qweights[s];
-  const std::vector<const PackedCodes*> no_codes(n, nullptr);
-
-  std::vector<nn::ActCoding> coding(n);  // all-null: pure float
-  for (std::size_t s = 0; s < n; s += 2) {
+  std::vector<nn::ActCoding> coding(n);
+  std::vector<nn::SlotPlan> plan(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    plan[s].weight = &qweights[s];
+    plan[s].act = spec.act_fmt[s];
+    if (s % 2 != 0) continue;
     const LPFormat* fmt = static_cast<const LPFormat*>(spec.act_fmt[s]);
     auto lut = build_decode_table(*fmt);
     ASSERT_NE(lut, nullptr);
     const int bits = PackedCodes::bits_for(lut->size(), 8);
     coding[s] = nn::ActCoding{fmt->quant_index(), std::move(lut), bits};
+    plan[s].out = &coding[s];
   }
   nn::ActTraffic traffic;
-  const auto got = m.forward_with_weights(x, wptrs, no_codes, spec, coding,
-                                          &traffic);
+  nn::RunCtx ctx;
+  ctx.plan = plan;
+  ctx.act_traffic = &traffic;
+  const auto got = m.run(x, ctx);
   ASSERT_TRUE(bits_equal(got.logits, ref.logits));
   EXPECT_GT(traffic.coded_bytes, 0);
   EXPECT_GT(traffic.float_bytes, 0);  // the odd slots really produced float

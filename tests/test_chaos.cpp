@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "lpq/lpq.h"
+#include "nn/nodes.h"
 #include "nn/zoo.h"
 #include "runtime/artifact.h"
 #include "runtime/session.h"
@@ -253,22 +254,50 @@ TEST_F(ChaosTest, PoolTaskFaultPropagatesLikeAThrowingChunk) {
 }
 
 TEST_F(ChaosTest, EpilogueEscapeFallsBackBitIdentical) {
-  const nn::Model m = nn::build_tiny_cnn(small_opts());
-  const auto w = varied_weight_cfgs(m);
-  const auto a = varied_act_cfgs(w);
-  InferenceSession session(m);
-  session.set_formats(w, a);
-  const Tensor x = random_batch(3, 3, 16, 77);
-  const auto ref = logit_bits(session.run(x).logits);
+  for (const char* name : {"tiny_cnn", "tiny_vit"}) {
+    SCOPED_TRACE(name);
+    fault::clear();
+    const nn::Model m = nn::build_model(name, small_opts());
+    const auto w = varied_weight_cfgs(m);
+    const auto a = varied_act_cfgs(w);
+    InferenceSession session(m);
+    session.set_formats(w, a);
+    const Tensor x = random_batch(3, 3, 16, 77);
+    nn::ActTraffic ref_traffic;
+    const auto ref = logit_bits(session.run(x, false, &ref_traffic).logits);
 
-  // Force every fused encode epilogue to report a non-finite escape: each
-  // affected edge re-runs unfused — the documented fallback — and the
-  // numbers cannot move.
-  fault::set_plan("kernel.epilogue.nonfinite", every_plan(1));
-  EXPECT_EQ(logit_bits(session.run(x).logits), ref);
-  EXPECT_GT(fault::arrivals("kernel.epilogue.nonfinite"), 0U);
-  EXPECT_EQ(fault::fires("kernel.epilogue.nonfinite"),
-            fault::arrivals("kernel.epilogue.nonfinite"));
+    // Every conv and linear slot with packed codes and a coded output edge
+    // runs one fused encode epilogue per forward.
+    const runtime::QuantizedModel& snap = session.current();
+    std::uint64_t conv_edges = 0;
+    std::uint64_t linear_edges = 0;
+    for (std::size_t i = 1; i < m.node_count(); ++i) {
+      const nn::Node& nd = m.node(i);
+      if (!nd.weighted()) continue;
+      const auto s = static_cast<std::size_t>(nd.first_slot());
+      if (snap.codes()[s] == nullptr || snap.act_coding()[s].qidx == nullptr) {
+        continue;
+      }
+      if (dynamic_cast<const nn::Conv2dNode*>(&nd) != nullptr) ++conv_edges;
+      if (dynamic_cast<const nn::LinearNode*>(&nd) != nullptr) ++linear_edges;
+    }
+    ASSERT_GT(conv_edges, 0U);
+    ASSERT_GT(linear_edges, 0U);
+
+    // Force every fused encode epilogue to report a non-finite escape: each
+    // affected edge re-runs unfused — the documented fallback — and neither
+    // the numbers nor which edges leave coded can move.  One fire per fused
+    // edge proves both the conv and the linear escapes ran.
+    fault::set_plan("kernel.epilogue.nonfinite", every_plan(1));
+    nn::ActTraffic traffic;
+    EXPECT_EQ(logit_bits(session.run(x, false, &traffic).logits), ref);
+    EXPECT_EQ(traffic.coded_bytes, ref_traffic.coded_bytes);
+    EXPECT_EQ(traffic.float_bytes, ref_traffic.float_bytes);
+    EXPECT_EQ(fault::fires("kernel.epilogue.nonfinite"),
+              conv_edges + linear_edges);
+    EXPECT_EQ(fault::fires("kernel.epilogue.nonfinite"),
+              fault::arrivals("kernel.epilogue.nonfinite"));
+  }
 }
 
 TEST_F(ChaosTest, PublishFaultConsumesNoVersionAndKeepsServingOldSnapshot) {
