@@ -690,21 +690,28 @@ BENCHMARK(BM_QuantizedForward);
 // Acceptance: act_bytes_moved_coded shows >= 2x reduction against the
 // float bytes it replaced at 8-bit activation formats (the counters make
 // the ratio auditable per run).
+//
+// The model argument picks the trunk: 0 = ResNet-18 (dense 3x3 convs,
+// the im2col + GEMM path), 1 = MobileNetV2 (17 depthwise convs on the
+// direct path, plus 1x1 GEMMs).
+
+constexpr const char* kForwardActsModels[] = {"resnet18", "mobilenetv2"};
 
 struct ForwardActsFixture {
   nn::Model model;
   Tensor input;
   std::vector<LPConfig> w, a;
 
-  explicit ForwardActsFixture(std::int64_t batch)
-      : model([] {
-          // ResNet-ish trunk at a serving-sized input: enough conv layers
-          // that inter-layer activation traffic, not weight streaming,
-          // dominates bytes moved.
+  ForwardActsFixture(std::int64_t batch, std::int64_t model_arg)
+      : model([model_arg] {
+          // A serving-sized input: enough conv layers that inter-layer
+          // activation traffic, not weight streaming, dominates bytes
+          // moved.
           nn::ZooOptions o;
           o.input_size = 32;
           o.classes = 16;
-          return nn::build_resnet18(o);
+          return nn::build_model(
+              kForwardActsModels[static_cast<std::size_t>(model_arg)], o);
         }()),
         input({batch, 3, 32, 32}) {
     Rng rng(21);
@@ -718,7 +725,8 @@ struct ForwardActsFixture {
 };
 
 void run_forward_acts_bench(benchmark::State& state, bool coded) {
-  const ForwardActsFixture fx(state.range(0));
+  const ForwardActsFixture fx(state.range(0), state.range(1));
+  state.SetLabel(kForwardActsModels[static_cast<std::size_t>(state.range(1))]);
   runtime::SessionOptions sopts;
   sopts.coded_activations = coded;
   runtime::InferenceSession session(fx.model, sopts);
@@ -746,8 +754,8 @@ void BM_ForwardFloatActs(benchmark::State& state) {
   run_forward_acts_bench(state, /*coded=*/false);
 }
 BENCHMARK(BM_ForwardFloatActs)
-    ->Arg(1)->Arg(8)
-    ->ArgNames({"batch"})
+    ->ArgsProduct({{1, 8}, {0, 1}})
+    ->ArgNames({"batch", "model"})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ForwardCodedActs(benchmark::State& state) {
@@ -758,8 +766,8 @@ void BM_ForwardCodedActs(benchmark::State& state) {
   run_forward_acts_bench(state, /*coded=*/true);
 }
 BENCHMARK(BM_ForwardCodedActs)
-    ->Arg(1)->Arg(8)
-    ->ArgNames({"batch"})
+    ->ArgsProduct({{1, 8}, {0, 1}})
+    ->ArgNames({"batch", "model"})
     ->Unit(benchmark::kMillisecond);
 
 // --- serving traffic simulator ---------------------------------------------

@@ -56,6 +56,26 @@ void gemm_codes_codes_ref_block(const PackedCodesView& a,
                                 std::int64_t col_end, std::int64_t k,
                                 std::int64_t n);
 
+/// Geometry of one input plane of a convolution whose output channels
+/// each read a single input channel (Cin/groups == 1: depthwise).
+struct DepthwiseShape {
+  std::int64_t h, w;    ///< input plane
+  std::int64_t kh, kw;  ///< kernel
+  std::int64_t stride, padding;
+  std::int64_t ho, wo;  ///< output plane (conv_out_dim of the above)
+};
+
+/// Direct depthwise convolution of one [h, w] input plane `x` with one
+/// output channel's kh*kw weights into its [ho, wo] output plane `out`.
+/// Not a KernelTable entry: the arithmetic is exactly what im2col + the
+/// GEMM reference compute for a one-channel patch matrix, so every table
+/// already agrees with it — per output element a double accumulator
+/// seeded at +0.0, contributions in ascending p = ky*kw + kx, zero weights
+/// skipped, padding read as +0.0f (a ±inf weight over padding gives NaN).
+/// No bias: the caller's sink adds it in float, as after the GEMM.
+void depthwise_conv_plane(const float* x, const float* wts,
+                          const DepthwiseShape& s, float* out);
+
 /// Encode one finished output element for the fused epilogue: apply
 /// ep.act, nearest-index through ep.qidx, write the code at element e of
 /// ep.codes.  Returns false (and writes nothing) when the activated value

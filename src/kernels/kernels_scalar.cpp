@@ -148,6 +148,52 @@ void gemm_codes_codes_ref_block(const PackedCodesView& a,
   }
 }
 
+void depthwise_conv_plane(const float* x, const float* wts,
+                          const DepthwiseShape& s, float* out) {
+  // Stage the plane inside a zero border, so padded taps read the +0.0f
+  // the im2col writes, and accumulate on "wide" output rows of wp
+  // columns: at unit stride each tap is then one contiguous sweep, whose
+  // wp - wo spill columns per row are dropped at the end.  Taps run in
+  // ky-then-kx order, the ascending-p order in which the GEMM adds its
+  // patch rows.  Pool workers are persistent, so the thread_local
+  // buffers amortize.
+  const std::int64_t hp = s.h + 2 * s.padding;
+  const std::int64_t wp = s.w + 2 * s.padding;
+  thread_local std::vector<float> xp;
+  thread_local std::vector<double> acc;
+  xp.assign(static_cast<std::size_t>(hp * wp), 0.0F);
+  for (std::int64_t y = 0; y < s.h; ++y) {
+    std::copy_n(x + y * s.w, s.w, xp.data() + (y + s.padding) * wp + s.padding);
+  }
+  acc.assign(static_cast<std::size_t>(s.ho * wp), 0.0);
+  double* const a = acc.data();
+  for (std::int64_t ky = 0; ky < s.kh; ++ky) {
+    for (std::int64_t kx = 0; kx < s.kw; ++kx) {
+      const double wv = wts[ky * s.kw + kx];
+      if (wv == 0.0) continue;
+      const float* src = xp.data() + ky * wp + kx;
+      if (s.stride == 1) {
+        for (std::int64_t t = 0; t < (s.ho - 1) * wp + s.wo; ++t) {
+          a[t] += wv * src[t];
+        }
+      } else {
+        for (std::int64_t oy = 0; oy < s.ho; ++oy) {
+          const float* srow = src + oy * s.stride * wp;
+          double* const arow = a + oy * wp;
+          for (std::int64_t ox = 0; ox < s.wo; ++ox) {
+            arow[ox] += wv * srow[ox * s.stride];
+          }
+        }
+      }
+    }
+  }
+  for (std::int64_t oy = 0; oy < s.ho; ++oy) {
+    for (std::int64_t ox = 0; ox < s.wo; ++ox) {
+      out[oy * s.wo + ox] = static_cast<float>(a[oy * wp + ox]);
+    }
+  }
+}
+
 bool encode_elem(const ActEncode& ep, float v, std::int64_t e) {
   const float y = act_eval(v, ep.act);
   const auto bits = std::bit_cast<std::uint32_t>(y);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -410,65 +411,177 @@ PackedCodes im2col_codes(const PackedCodes& input, std::int64_t c_begin,
 
 namespace {
 
-/// Shared conv2d body for float and packed-code weights: im2col per
-/// group, one GEMM per group via `group_gemm(g, k, cols, result)` (which
-/// computes result[cg_out, col_width] = W_g * cols), then a scatter whose
-/// strided sink comes from `make_write(out_shape)`: write(e, stride, run,
-/// nruns, src, bias_v) lands contiguous src[r*run + i] + bias_v at output
-/// element e + r*stride + i (one call covers a full output channel — the
-/// GEMM row is contiguous across the batch, destinations stride by one
-/// NCHW plane) — the plain variants write floats into an NCHW tensor, the
-/// fused variant batch-encodes through the epilogue (same sink contract
-/// as conv2d_cc_core).
-/// `wd` is the weight's [Cout, Cin/groups, kh, kw] shape — the storage
-/// forms share it, and everything outside the GEMM call and the sink is
-/// identical, so the coded paths are bit-identical by construction.
-/// Returns whether every sink call succeeded (all groups still run).
-template <typename GroupGemm, typename MakeWrite>
-bool conv2d_core(const Tensor& input, const std::int64_t (&wd)[4],
-                 const Tensor* bias, const Conv2dSpec& spec,
-                 GroupGemm&& group_gemm, MakeWrite&& make_write) {
-  LP_CHECK(input.rank() == 4);
+// Storage-form hooks of conv2d_core, overloaded on float tensor vs packed
+// codes so one core serves all five conv ops.
+
+/// The group's patch matrix: float im2col, or coded im2col padding with
+/// `zero_code`.
+Tensor group_patches(const Tensor& input, std::int64_t c_begin,
+                     std::int64_t c_count, std::int64_t kh, std::int64_t kw,
+                     const Conv2dSpec& spec, std::uint32_t /*zero_code*/) {
+  return im2col(input, c_begin, c_count, kh, kw, spec);
+}
+
+PackedCodes group_patches(const PackedCodes& input, std::int64_t c_begin,
+                          std::int64_t c_count, std::int64_t kh,
+                          std::int64_t kw, const Conv2dSpec& spec,
+                          std::uint32_t zero_code) {
+  return im2col_codes(input, c_begin, c_count, kh, kw, spec, zero_code);
+}
+
+/// result[m, n] = W * cols, W the [m, k] weight rows from element `w0`.
+/// A coded slice starts at an element (not byte) offset; the view carries
+/// it, so 4-bit slices need no realignment.
+void group_gemm(const Tensor& weight, std::int64_t w0, const Tensor& cols,
+                float* result, std::int64_t m, std::int64_t k,
+                std::int64_t n) {
+  gemm_parallel(weight.raw() + w0, cols.raw(), nullptr, result, m, k, n);
+}
+
+void group_gemm(const PackedCodes& weight, std::int64_t w0, const Tensor& cols,
+                float* result, std::int64_t m, std::int64_t k,
+                std::int64_t n) {
+  gemm_codes_parallel(weight.view(w0), cols.raw(), nullptr, result, m, k, n);
+}
+
+void group_gemm(const PackedCodes& weight, std::int64_t w0,
+                const PackedCodes& cols, float* result, std::int64_t m,
+                std::int64_t k, std::int64_t n) {
+  gemm_codes_codes_parallel(weight.view(w0), cols.view(), nullptr, result, m,
+                            k, n);
+}
+
+/// `count` elements from element `e0` as floats: a tensor's own storage,
+/// or codes decoded through their LUT into `dst`.
+const float* elems(const Tensor& t, std::int64_t e0, std::int64_t /*count*/,
+                   float* /*dst*/) {
+  return t.raw() + e0;
+}
+
+const float* elems(const PackedCodes& t, std::int64_t e0, std::int64_t count,
+                   float* dst) {
+  const kernels::PackedCodesView v = t.view(e0);
+  for (std::int64_t i = 0; i < count; ++i) {
+    dst[i] = kernels::packed_decode_at(v, i);
+  }
+  return dst;
+}
+
+/// Padding must decode to the float im2col's exact +0.0f: the coded
+/// im2col gathers `zero_code`, the direct path reads +0.0f itself.
+void check_zero_code(const Tensor& /*input*/, std::uint32_t /*zero_code*/) {}
+
+void check_zero_code(const PackedCodes& input, std::uint32_t zero_code) {
+  const DecodeTable& lut = *input.lut();
+  LP_CHECK_MSG(zero_code < lut.size() &&
+                   std::bit_cast<std::uint32_t>(lut[zero_code]) == 0U,
+               "zero_code " << zero_code << " does not decode to +0.0f");
+}
+
+/// Thread-local scratch for the direct path: the result row plus decoded
+/// input plane and taps.  Separate from kernels::detail::fused_scratch,
+/// which the encode sink stages `row + bias` into.
+float* direct_scratch(std::int64_t count) {
+  thread_local std::vector<float> buf;
+  if (static_cast<std::int64_t>(buf.size()) < count) {
+    buf.resize(static_cast<std::size_t>(count));
+  }
+  return buf.data();
+}
+
+/// The one conv2d body, for float or coded input and weights.  Each
+/// output channel's [N*Ho*Wo] result row (batch-major, im2col column
+/// order) goes to a strided sink from `make_write(out_shape)`:
+/// write(e, stride, run, nruns, src, bias_v) lands contiguous
+/// src[r*run + i] + bias_v at output element e + r*stride + i — one call
+/// per output channel, destinations striding by one NCHW plane.  The
+/// plain sink writes floats into an NCHW tensor, the fused one
+/// batch-encodes through the epilogue.
+///
+/// Rows come from one of two paths, chosen by the weight shape:
+///  - Cin/groups == 1 (depthwise): kernels::detail::depthwise_conv_plane
+///    per output channel and batch image, over the channel's input plane
+///    (decoded once into scratch when coded) and its kh*kw decoded taps.
+///    Output channels split across the pool; no im2col, no per-group
+///    allocation.
+///  - otherwise: per group, the patch matrix and one GEMM of the weight
+///    slice against it.
+/// The direct loop is the GEMM reference's arithmetic on a one-row
+/// patch matrix, so both paths, and every storage form, round the same.
+/// Returns whether every sink call succeeded (all channels still run).
+template <typename Input, typename Weight, typename MakeWrite>
+bool conv2d_core(const Input& input, const Weight& weight, const Tensor* bias,
+                 const Conv2dSpec& spec, std::uint32_t zero_code,
+                 MakeWrite&& make_write) {
+  LP_CHECK(input.rank() == 4 && weight.rank() == 4);
   const std::int64_t n = input.dim(0);
   const std::int64_t cin = input.dim(1);
   const std::int64_t h = input.dim(2);
   const std::int64_t w = input.dim(3);
-  const std::int64_t cout = wd[0];
-  const std::int64_t kh = wd[2];
-  const std::int64_t kw = wd[3];
+  const std::int64_t cout = weight.dim(0);
+  const std::int64_t kh = weight.dim(2);
+  const std::int64_t kw = weight.dim(3);
   LP_CHECK(spec.groups >= 1);
   LP_CHECK_MSG(cin % spec.groups == 0 && cout % spec.groups == 0,
                "groups must divide channels");
-  LP_CHECK_MSG(wd[1] == cin / spec.groups,
-               "weight Cin/groups mismatch: " << wd[1] << " vs "
+  LP_CHECK_MSG(weight.dim(1) == cin / spec.groups,
+               "weight Cin/groups mismatch: " << weight.dim(1) << " vs "
                                               << cin / spec.groups);
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == cout);
+  check_zero_code(input, zero_code);
 
   const std::int64_t ho = conv_out_dim(h, kh, spec.stride, spec.padding);
   const std::int64_t wo = conv_out_dim(w, kw, spec.stride, spec.padding);
   const std::int64_t cg_in = cin / spec.groups;
   const std::int64_t cg_out = cout / spec.groups;
+  const std::int64_t k = cg_in * kh * kw;
   const std::int64_t col_width = n * ho * wo;
 
   auto write = make_write(std::vector<std::int64_t>{n, cout, ho, wo});
   std::atomic<bool> ok{true};
+  auto emit = [&](std::int64_t oc, const float* row) {
+    const float bias_v = (bias != nullptr) ? (*bias)[oc] : 0.0F;
+    return write(oc * ho * wo, cout * ho * wo, ho * wo, n, row, bias_v);
+  };
+
+  if (cg_in == 1) {
+    const kernels::detail::DepthwiseShape shape{
+        h, w, kh, kw, spec.stride, spec.padding, ho, wo};
+    auto channels = [&](std::int64_t oc_begin, std::int64_t oc_end,
+                        std::int64_t) {
+      float* const row = direct_scratch(col_width + h * w + k);
+      float* const plane = row + col_width;
+      float* const taps = plane + h * w;
+      bool block_ok = true;
+      for (std::int64_t oc = oc_begin; oc < oc_end; ++oc) {
+        const float* wts = elems(weight, oc * k, k, taps);
+        const std::int64_t c = oc / cg_out;
+        for (std::int64_t b = 0; b < n; ++b) {
+          kernels::detail::depthwise_conv_plane(
+              elems(input, (b * cin + c) * h * w, h * w, plane), wts, shape,
+              row + b * ho * wo);
+        }
+        block_ok = emit(oc, row) && block_ok;
+      }
+      if (!block_ok) ok.store(false, std::memory_order_relaxed);
+    };
+    for_row_blocks(cout * k * col_width, kGemmSerialBelow, cout, channels);
+    return ok.load(std::memory_order_relaxed);
+  }
+
   for (std::int64_t g = 0; g < spec.groups; ++g) {
-    const Tensor cols = im2col(input, g * cg_in, cg_in, kh, kw, spec);
-    const std::int64_t k = cg_in * kh * kw;
-    // result[cg_out, col_width] = W_g * cols
-    std::vector<float> result(static_cast<std::size_t>(cg_out * col_width), 0.0F);
-    group_gemm(g, k, cols, result.data(), cg_out, col_width);
-    // Scatter back into NCHW (columns are ordered batch-major per im2col).
+    const auto cols =
+        group_patches(input, g * cg_in, cg_in, kh, kw, spec, zero_code);
+    std::vector<float> result(static_cast<std::size_t>(cg_out * col_width));
+    group_gemm(weight, g * cg_out * k, cols, result.data(), cg_out, k,
+               col_width);
     // Output channels write disjoint planes — parallel over oc.
     auto scatter = [&](std::int64_t oc_begin, std::int64_t oc_end,
                        std::int64_t) {
       bool block_ok = true;
       for (std::int64_t oc = oc_begin; oc < oc_end; ++oc) {
-        const float bias_v = (bias != nullptr) ? (*bias)[g * cg_out + oc] : 0.0F;
-        const float* rrow = result.data() + oc * col_width;
-        const std::int64_t base = (g * cg_out + oc) * ho * wo;
-        block_ok = write(base, cout * ho * wo, ho * wo, n, rrow, bias_v) &&
-                   block_ok;
+        block_ok =
+            emit(g * cg_out + oc, result.data() + oc * col_width) && block_ok;
       }
       if (!block_ok) ok.store(false, std::memory_order_relaxed);
     };
@@ -495,43 +608,66 @@ auto tensor_sink(Tensor& out) {
   };
 }
 
+/// Sink factory for the fused ops: sizes the `codes` stream to the output
+/// shape (recorded in `out_shape`) and encodes through `ep`.  Each call
+/// bias-adds the channel row into kernel scratch, runs the batched
+/// epilogue (act + SIMD nearest-index search) once, then scatters codes
+/// per batch-image plane — element-for-element identical to
+/// encode_elem(ep, src[r*run+i] + bias_v, e+r*stride+i).
+auto encode_sink(std::vector<std::uint8_t>& codes,
+                 std::vector<std::int64_t>& out_shape,
+                 kernels::ActEncode& ep) {
+  return [&](std::vector<std::int64_t> shape) {
+    std::int64_t numel = 1;
+    for (const std::int64_t d : shape) numel *= d;
+    out_shape = std::move(shape);
+    codes.resize(PackedCodes::stream_bytes(numel, ep.bits));
+    ep.codes = codes.data();
+    return [&ep](std::int64_t e, std::int64_t stride, std::int64_t run,
+                 std::int64_t nruns, const float* src, float bias_v) {
+      const std::int64_t count = run * nruns;
+      float* buf = kernels::detail::fused_scratch(count);
+      for (std::int64_t i = 0; i < count; ++i) buf[i] = src[i] + bias_v;
+      return kernels::detail::encode_strided_block(ep, buf, count, e, stride,
+                                                   run);
+    };
+  };
+}
+
+/// The fused conv ops' shared body: run the core into an encode sink.
+/// Nullopt when an output was non-finite, or when the chaos harness
+/// forces the same escape as gemm_codes_nt_parallel.
+template <typename Input>
+std::optional<PackedCodes> conv2d_enc(const Input& input,
+                                      const PackedCodes& weight,
+                                      const Tensor* bias,
+                                      const Conv2dSpec& spec,
+                                      std::uint32_t zero_code,
+                                      const ActEncodeSpec& enc) {
+  LP_CHECK(enc.lut != nullptr && (enc.bits == 8 || enc.bits == 16));
+  std::vector<std::uint8_t> codes;
+  std::vector<std::int64_t> out_shape;
+  kernels::ActEncode ep{enc.qidx, nullptr, enc.bits, enc.act};
+  const bool ok = conv2d_core(input, weight, bias, spec, zero_code,
+                              encode_sink(codes, out_shape, ep));
+  if (LP_FAULT_POINT("kernel.epilogue.nonfinite") || !ok) return std::nullopt;
+  return PackedCodes::from_codes(std::move(codes), std::move(out_shape),
+                                 enc.bits, enc.lut);
+}
+
 }  // namespace
 
 Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
               const Conv2dSpec& spec) {
-  LP_CHECK(weight.rank() == 4);
-  const std::int64_t wd[4] = {weight.dim(0), weight.dim(1), weight.dim(2),
-                              weight.dim(3)};
   Tensor out;
-  (void)conv2d_core(
-      input, wd, bias, spec,
-      [&](std::int64_t g, std::int64_t k, const Tensor& cols, float* result,
-          std::int64_t cg_out, std::int64_t col_width) {
-        // Weight slice for this group as a [cg_out, k] matrix.
-        const float* wslice = weight.raw() + g * cg_out * k;
-        gemm_parallel(wslice, cols.raw(), nullptr, result, cg_out, k,
-                      col_width);
-      },
-      tensor_sink(out));
+  (void)conv2d_core(input, weight, bias, spec, 0, tensor_sink(out));
   return out;
 }
 
 Tensor conv2d_codes(const Tensor& input, const PackedCodes& weight,
                     const Tensor* bias, const Conv2dSpec& spec) {
-  LP_CHECK(weight.rank() == 4);
-  const std::int64_t wd[4] = {weight.dim(0), weight.dim(1), weight.dim(2),
-                              weight.dim(3)};
   Tensor out;
-  (void)conv2d_core(
-      input, wd, bias, spec,
-      [&](std::int64_t g, std::int64_t k, const Tensor& cols, float* result,
-          std::int64_t cg_out, std::int64_t col_width) {
-        // The group's weight slice starts at an element (not byte) offset;
-        // the view carries it so 4-bit slices need no realignment.
-        gemm_codes_parallel(weight.view(g * cg_out * k), cols.raw(), nullptr,
-                            result, cg_out, k, col_width);
-      },
-      tensor_sink(out));
+  (void)conv2d_core(input, weight, bias, spec, 0, tensor_sink(out));
   return out;
 }
 
@@ -540,135 +676,14 @@ std::optional<PackedCodes> conv2d_codes_enc(const Tensor& input,
                                             const Tensor* bias,
                                             const Conv2dSpec& spec,
                                             const ActEncodeSpec& enc) {
-  LP_CHECK(weight.rank() == 4);
-  LP_CHECK(enc.lut != nullptr && (enc.bits == 8 || enc.bits == 16));
-  const std::int64_t wd[4] = {weight.dim(0), weight.dim(1), weight.dim(2),
-                              weight.dim(3)};
-  std::vector<std::uint8_t> codes;
-  std::vector<std::int64_t> out_shape;
-  kernels::ActEncode ep{enc.qidx, nullptr, enc.bits, enc.act};
-  const bool ok = conv2d_core(
-      input, wd, bias, spec,
-      [&](std::int64_t g, std::int64_t k, const Tensor& cols, float* result,
-          std::int64_t cg_out, std::int64_t col_width) {
-        gemm_codes_parallel(weight.view(g * cg_out * k), cols.raw(), nullptr,
-                            result, cg_out, k, col_width);
-      },
-      [&](std::vector<std::int64_t> shape) {
-        std::int64_t numel = 1;
-        for (const std::int64_t d : shape) numel *= d;
-        out_shape = std::move(shape);
-        codes.resize(PackedCodes::stream_bytes(numel, enc.bits));
-        ep.codes = codes.data();
-        // Bias-add the whole channel row into kernel scratch, run the
-        // batched epilogue (act + SIMD nearest-index search) once, then
-        // scatter codes per batch-image plane — element-for-element
-        // identical to encode_elem(ep, src[r*run+i] + bias_v, e+r*stride+i).
-        return [&ep](std::int64_t e, std::int64_t stride, std::int64_t run,
-                     std::int64_t nruns, const float* src, float bias_v) {
-          const std::int64_t count = run * nruns;
-          float* buf = kernels::detail::fused_scratch(count);
-          for (std::int64_t i = 0; i < count; ++i) buf[i] = src[i] + bias_v;
-          return kernels::detail::encode_strided_block(ep, buf, count, e,
-                                                       stride, run);
-        };
-      });
-  // Same escape-hatch injection as the fused nt GEMM drivers.
-  if (LP_FAULT_POINT("kernel.epilogue.nonfinite") || !ok) return std::nullopt;
-  return PackedCodes::from_codes(std::move(codes), std::move(out_shape),
-                                 enc.bits, enc.lut);
+  return conv2d_enc(input, weight, bias, spec, 0, enc);
 }
-
-namespace {
-
-/// Shared body for the coded-input convolutions: coded im2col per group,
-/// both-coded GEMM per group, then a scatter whose per-element sink comes
-/// from `make_write(out_shape)` (same strided contract as conv2d_core) —
-/// the float variant writes `src + bias` into an NCHW tensor, the fused
-/// variant batch-encodes through the epilogue.  The sink returns false
-/// for an unencodable element; the core reports whether every element
-/// succeeded (all groups still run).  Everything
-/// around the sink is the float conv2d_core's exact sequence, so both
-/// variants stay bit-identical to it.
-template <typename MakeWrite>
-bool conv2d_cc_core(const PackedCodes& input, const PackedCodes& weight,
-                    const Tensor* bias, const Conv2dSpec& spec,
-                    std::uint32_t zero_code, MakeWrite&& make_write) {
-  LP_CHECK(input.rank() == 4 && weight.rank() == 4);
-  const std::int64_t n = input.dim(0);
-  const std::int64_t cin = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  const std::int64_t cout = weight.dim(0);
-  const std::int64_t kh = weight.dim(2);
-  const std::int64_t kw = weight.dim(3);
-  LP_CHECK(spec.groups >= 1);
-  LP_CHECK_MSG(cin % spec.groups == 0 && cout % spec.groups == 0,
-               "groups must divide channels");
-  LP_CHECK_MSG(weight.dim(1) == cin / spec.groups,
-               "weight Cin/groups mismatch: " << weight.dim(1) << " vs "
-                                              << cin / spec.groups);
-  if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == cout);
-
-  const std::int64_t ho = conv_out_dim(h, kh, spec.stride, spec.padding);
-  const std::int64_t wo = conv_out_dim(w, kw, spec.stride, spec.padding);
-  const std::int64_t cg_in = cin / spec.groups;
-  const std::int64_t cg_out = cout / spec.groups;
-  const std::int64_t col_width = n * ho * wo;
-
-  auto write = make_write(std::vector<std::int64_t>{n, cout, ho, wo});
-  std::atomic<bool> ok{true};
-  for (std::int64_t g = 0; g < spec.groups; ++g) {
-    const PackedCodes cols =
-        im2col_codes(input, g * cg_in, cg_in, kh, kw, spec, zero_code);
-    const std::int64_t k = cg_in * kh * kw;
-    std::vector<float> result(static_cast<std::size_t>(cg_out * col_width),
-                              0.0F);
-    gemm_codes_codes_parallel(weight.view(g * cg_out * k), cols.view(), nullptr,
-                              result.data(), cg_out, k, col_width);
-    // Output channels touch disjoint planes — parallel over oc, exactly
-    // like the float scatter.
-    auto scatter = [&](std::int64_t oc_begin, std::int64_t oc_end,
-                       std::int64_t) {
-      bool block_ok = true;
-      for (std::int64_t oc = oc_begin; oc < oc_end; ++oc) {
-        const float bias_v =
-            (bias != nullptr) ? (*bias)[g * cg_out + oc] : 0.0F;
-        const float* rrow = result.data() + oc * col_width;
-        const std::int64_t base = (g * cg_out + oc) * ho * wo;
-        block_ok = write(base, cout * ho * wo, ho * wo, n, rrow, bias_v) &&
-                   block_ok;
-      }
-      if (!block_ok) ok.store(false, std::memory_order_relaxed);
-    };
-    for_row_blocks(cg_out * col_width, kRowsSerialBelow, cg_out, scatter);
-  }
-  return ok.load(std::memory_order_relaxed);
-}
-
-}  // namespace
 
 Tensor conv2d_codes_codes(const PackedCodes& input, const PackedCodes& weight,
                           const Tensor* bias, const Conv2dSpec& spec,
                           std::uint32_t zero_code) {
   Tensor out;
-  (void)conv2d_cc_core(input, weight, bias, spec, zero_code,
-                       [&](std::vector<std::int64_t> shape) {
-                         out = Tensor(std::move(shape));
-                         float* raw = out.raw();
-                         return [raw](std::int64_t e, std::int64_t stride,
-                                      std::int64_t run, std::int64_t nruns,
-                                      const float* src, float bias_v) {
-                           for (std::int64_t r = 0; r < nruns; ++r) {
-                             float* dst = raw + e + r * stride;
-                             const float* s = src + r * run;
-                             for (std::int64_t i = 0; i < run; ++i) {
-                               dst[i] = s[i] + bias_v;
-                             }
-                           }
-                           return true;
-                         };
-                       });
+  (void)conv2d_core(input, weight, bias, spec, zero_code, tensor_sink(out));
   return out;
 }
 
@@ -678,34 +693,7 @@ std::optional<PackedCodes> conv2d_codes_codes_enc(const PackedCodes& input,
                                                   const Conv2dSpec& spec,
                                                   std::uint32_t zero_code,
                                                   const ActEncodeSpec& enc) {
-  LP_CHECK(enc.lut != nullptr && (enc.bits == 8 || enc.bits == 16));
-  std::vector<std::uint8_t> codes;
-  std::vector<std::int64_t> out_shape;
-  kernels::ActEncode ep{enc.qidx, nullptr, enc.bits, enc.act};
-  const bool ok = conv2d_cc_core(
-      input, weight, bias, spec, zero_code,
-      [&](std::vector<std::int64_t> shape) {
-        std::int64_t numel = 1;
-        for (const std::int64_t d : shape) numel *= d;
-        out_shape = std::move(shape);
-        codes.resize(PackedCodes::stream_bytes(numel, enc.bits));
-        ep.codes = codes.data();
-        // Bias-add the whole channel row into kernel scratch, run the
-        // batched epilogue (act + SIMD nearest-index search) once, then
-        // scatter codes per batch-image plane — element-for-element
-        // identical to encode_elem(ep, src[r*run+i] + bias_v, e+r*stride+i).
-        return [&ep](std::int64_t e, std::int64_t stride, std::int64_t run,
-                     std::int64_t nruns, const float* src, float bias_v) {
-          const std::int64_t count = run * nruns;
-          float* buf = kernels::detail::fused_scratch(count);
-          for (std::int64_t i = 0; i < count; ++i) buf[i] = src[i] + bias_v;
-          return kernels::detail::encode_strided_block(ep, buf, count, e,
-                                                       stride, run);
-        };
-      });
-  if (LP_FAULT_POINT("kernel.epilogue.nonfinite") || !ok) return std::nullopt;
-  return PackedCodes::from_codes(std::move(codes), std::move(out_shape),
-                                 enc.bits, enc.lut);
+  return conv2d_enc(input, weight, bias, spec, zero_code, enc);
 }
 
 Tensor global_avg_pool(const Tensor& input) {

@@ -1,9 +1,10 @@
 // Forward-pass tensor operations.
 //
 // These are the primitives the DNN substrate (src/nn) composes: GEMM,
-// im2col convolution (grouped, so depthwise MobileNet blocks work), pooling,
-// activations, softmax, layernorm.  All functions are pure (inputs const,
-// fresh output) unless suffixed _inplace.
+// grouped convolution (im2col + GEMM, or a direct loop for depthwise
+// MobileNet blocks), pooling, activations, softmax, layernorm.  All
+// functions are pure (inputs const, fresh output) unless suffixed
+// _inplace.
 #pragma once
 
 #include <optional>
@@ -104,7 +105,16 @@ struct Conv2dSpec {
 };
 
 /// 2-D convolution, NCHW input [N,C,H,W], weight [Cout,Cin/groups,kh,kw],
-/// optional bias [Cout].  im2col + GEMM implementation.
+/// optional bias [Cout].  The weight shape picks the implementation, for
+/// this op and the four coded variants below alike:
+///  - Cin/groups == 1 (depthwise): a direct loop per output channel over
+///    its input plane and kh*kw taps, output channels split across the
+///    pool, no patch matrix;
+///  - otherwise: im2col + one GEMM per group.
+/// Both round identically: the direct loop is the GEMM's arithmetic on a
+/// one-row patch matrix (double accumulator, taps in ascending
+/// ky*kw + kx, zero weights skipped, padding read as +0.0f), with the
+/// bias added in float after it.
 [[nodiscard]] Tensor conv2d(const Tensor& input, const Tensor& weight,
                             const Tensor* bias, const Conv2dSpec& spec);
 
@@ -124,8 +134,10 @@ struct Conv2dSpec {
 
 /// conv2d with coded weights AND a coded NCHW input: patches gather as
 /// codes (padding with `zero_code`, which must decode to exact +0.0f —
-/// see lut_zero_code) and both GEMM operands decode inside the kernel.
-/// Bit-identical to conv2d over the decoded tensors.
+/// see lut_zero_code; checked) and both GEMM operands decode inside the
+/// kernel.  On the depthwise path each input plane decodes once into
+/// thread-local scratch.  Bit-identical to conv2d over the decoded
+/// tensors.
 [[nodiscard]] Tensor conv2d_codes_codes(const PackedCodes& input,
                                         const PackedCodes& weight,
                                         const Tensor* bias,

@@ -254,7 +254,7 @@ TEST_F(ChaosTest, PoolTaskFaultPropagatesLikeAThrowingChunk) {
 }
 
 TEST_F(ChaosTest, EpilogueEscapeFallsBackBitIdentical) {
-  for (const char* name : {"tiny_cnn", "tiny_vit"}) {
+  for (const char* name : {"tiny_cnn", "tiny_vit", "mobilenetv2"}) {
     SCOPED_TRACE(name);
     fault::clear();
     const nn::Model m = nn::build_model(name, small_opts());
@@ -267,7 +267,8 @@ TEST_F(ChaosTest, EpilogueEscapeFallsBackBitIdentical) {
     const auto ref = logit_bits(session.run(x, false, &ref_traffic).logits);
 
     // Every conv and linear slot with packed codes and a coded output edge
-    // runs one fused encode epilogue per forward.
+    // runs one fused encode epilogue per forward — MobileNetV2's depthwise
+    // convs included, which take the direct path fused and unfused alike.
     const runtime::QuantizedModel& snap = session.current();
     std::uint64_t conv_edges = 0;
     std::uint64_t linear_edges = 0;

@@ -12,6 +12,7 @@
 // CI re-runs this binary under LP_KERNEL=scalar and =avx2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -418,6 +419,233 @@ TEST(CodesOps, GroupedConvCodesBitIdentical) {
     const Tensor ref = conv2d(x, wq, &bias, spec);
     const Tensor got = conv2d_codes(x, *packed, &bias, spec);
     ASSERT_EQ(bits_of(got.data()), bits_of(ref.data())) << "threads=" << threads;
+  }
+}
+
+/// Independent reference for a grouped convolution, built only from the
+/// public im2col and matmul over already-decoded operands: per group,
+/// W_g [cg_out, k] times the group's patch matrix, then a scatter to NCHW
+/// that adds the bias in float after the GEMM.
+Tensor conv_by_im2col_matmul(const Tensor& x, const Tensor& w,
+                             const Tensor& bias, const Conv2dSpec& spec) {
+  const std::int64_t n = x.dim(0);
+  const std::int64_t cout = w.dim(0);
+  const std::int64_t cg_in = w.dim(1);
+  const std::int64_t kh = w.dim(2);
+  const std::int64_t kw = w.dim(3);
+  const std::int64_t cg_out = cout / spec.groups;
+  const std::int64_t k = cg_in * kh * kw;
+  const std::int64_t ho = conv_out_dim(x.dim(2), kh, spec.stride, spec.padding);
+  const std::int64_t wo = conv_out_dim(x.dim(3), kw, spec.stride, spec.padding);
+  const std::int64_t hw = ho * wo;
+  Tensor out({n, cout, ho, wo});
+  for (std::int64_t g = 0; g < spec.groups; ++g) {
+    const Tensor cols = im2col(x, g * cg_in, cg_in, kh, kw, spec);
+    Tensor wg({cg_out, k});
+    std::copy_n(w.raw() + g * cg_out * k, cg_out * k, wg.raw());
+    const Tensor res = matmul(wg, cols);
+    for (std::int64_t oc = 0; oc < cg_out; ++oc) {
+      const std::int64_t co = g * cg_out + oc;
+      for (std::int64_t b = 0; b < n; ++b) {
+        for (std::int64_t i = 0; i < hw; ++i) {
+          out[(b * cout + co) * hw + i] = res.at2(oc, b * hw + i) + bias[co];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::int64_t count_nan(const Tensor& t) {
+  std::int64_t c = 0;
+  for (const float v : t.data()) c += std::isnan(v) ? 1 : 0;
+  return c;
+}
+
+/// Every conv op on single-input-channel (depthwise) shapes against the
+/// im2col + matmul reference, bit for bit, at pool widths 1 and 8.  The
+/// weights are 4-bit codes through a hand-built LUT holding ±0.0, ±inf
+/// and a denormal; a +inf weight tap on padding must give NaN where the
+/// reference does, an all-±0.0 channel must skip even +inf inputs, the
+/// fused ops must refuse any non-finite output, and cancelling ±2^60 taps
+/// must show the taps add in ascending order.
+TEST(CodesOps, DepthwiseDirectPathMatchesIm2colGemm) {
+  PoolGuard guard;
+  // Codes 0/1 are ±0.0, 2/3 are ±inf, 4 is a denormal, 14/15 are ±2^60
+  // (only for the accumulation-order case at the end).
+  const auto wlut = std::make_shared<const DecodeTable>(DecodeTable{
+      0.0F, -0.0F, kInf, -kInf, kDenorm, 0.5F, -0.75F, 1.25F, -1.5F, 2.0F,
+      0.125F, -0.3F, 0.9F, -2.5F, 0x1p60F, -0x1p60F});
+  const std::uint32_t finite_codes[] = {0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
+  const LPFormat af(LPConfig{8, 2, 4, 0.0});
+  const auto alut = build_decode_table(af);
+  ASSERT_NE(alut, nullptr);
+  const std::int64_t zc = lut_zero_code(*alut);
+  ASSERT_GE(zc, 0);
+  const auto zcode = static_cast<std::uint32_t>(zc);
+  const ActEncodeSpec enc{af.quant_index()->view(), alut,
+                          PackedCodes::bits_for(alut->size(), 8),
+                          kernels::kActRelu};
+  auto decoded = [](const PackedCodes& p) {
+    Tensor t(p.shape());
+    p.decode(t.data());
+    return t;
+  };
+  auto act_quantized = [&](Tensor t) {
+    for (float& v : t.data()) v = kernels::act_eval(v, enc.act);
+    quantize_inplace(t, af);
+    return t;
+  };
+  auto all_finite = [](const Tensor& t) {
+    return std::all_of(t.data().begin(), t.data().end(),
+                       [](float v) { return std::isfinite(v); });
+  };
+
+  struct Case {
+    std::int64_t k, stride, padding, mult, n;
+  };
+  std::vector<Case> cases;
+  for (const std::int64_t k : {1, 3, 5}) {
+    for (const std::int64_t stride : {1, 2}) {
+      for (const std::int64_t padding : {0, 1, 2}) {
+        for (const std::int64_t mult : {1, 2}) {
+          for (const std::int64_t n : {1, 3}) {
+            cases.push_back({k, stride, padding, mult, n});
+          }
+        }
+      }
+    }
+  }
+  std::uint64_t seed = 1;
+  for (const Case& t : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << "k=" << t.k << " stride=" << t.stride
+                 << " pad=" << t.padding << " mult=" << t.mult
+                 << " n=" << t.n);
+    const std::int64_t c = 3;
+    const std::int64_t cout = c * t.mult;
+    const std::int64_t taps = t.k * t.k;
+    const Conv2dSpec spec{t.stride, t.padding, c};
+    Rng rng(seed++);
+
+    // Channel roles by oc % 3: 0 finite codes (±0.0 and the denormal
+    // included), 1 the same but +inf at tap 0 in the _inf weights, 2 only
+    // ±0.0.  With k odd, odd-oc slices start mid-byte.
+    std::vector<std::uint32_t> idx(static_cast<std::size_t>(cout * taps));
+    std::vector<std::uint32_t> idx_inf(idx.size());
+    for (std::int64_t oc = 0; oc < cout; ++oc) {
+      for (std::int64_t p = 0; p < taps; ++p) {
+        const auto e = static_cast<std::size_t>(oc * taps + p);
+        const double hi = oc % 3 == 2 ? 1.99 : 11.99;
+        idx[e] = finite_codes[static_cast<std::size_t>(rng.uniform(0.0, hi))];
+        idx_inf[e] = (oc % 3 == 1 && p == 0) ? 2U : idx[e];
+      }
+    }
+    const std::vector<std::int64_t> wshape{cout, 1, t.k, t.k};
+    const PackedCodes wc =
+        PackedCodes::from_codes(pack_raw(idx, 4, 0), wshape, 4, wlut);
+    const PackedCodes wc_inf =
+        PackedCodes::from_codes(pack_raw(idx_inf, 4, 0), wshape, 4, wlut);
+    const Tensor wd = decoded(wc);
+    const Tensor wd_inf = decoded(wc_inf);
+
+    Tensor bias({cout});
+    for (float& v : bias.data()) v = static_cast<float>(rng.gaussian());
+    Tensor x({t.n, c, t.n == 1 ? 7 : 5, t.n == 1 ? 5 : 8});  // H != W
+    for (float& v : x.data()) v = static_cast<float>(rng.gaussian());
+    Tensor x_inf = x;
+    for (std::int64_t ch = 0; ch < c; ++ch) x_inf.at4(0, ch, 1, 1) = kInf;
+    const auto xc = PackedCodes::pack(x.data(), x.shape(), af, alut, 8);
+    ASSERT_TRUE(xc.has_value());
+    const Tensor xd = decoded(*xc);
+
+    const Tensor ref = conv_by_im2col_matmul(x, wd, bias, spec);
+    const Tensor ref_inf = conv_by_im2col_matmul(x_inf, wd_inf, bias, spec);
+    const Tensor ref_cc = conv_by_im2col_matmul(xd, wd, bias, spec);
+    const Tensor ref_cc_inf = conv_by_im2col_matmul(xd, wd_inf, bias, spec);
+    ASSERT_TRUE(all_finite(ref));
+    ASSERT_TRUE(all_finite(ref_cc));
+    // The +inf tap reads padding at output (0, 0): inf * 0 = NaN there.
+    if (t.padding > 0) {
+      ASSERT_GT(count_nan(ref_inf), 0);
+      ASSERT_GT(count_nan(ref_cc_inf), 0);
+    }
+    // Channel 2's ±0.0 taps are skipped, so +inf inputs leave it at bias.
+    const std::int64_t hw = ref_inf.dim(2) * ref_inf.dim(3);
+    for (std::int64_t b = 0; b < t.n; ++b) {
+      for (std::int64_t i = 0; i < hw; ++i) {
+        const float v = ref_inf[(b * cout + 2) * hw + i];
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(v),
+                  std::bit_cast<std::uint32_t>(bias[2]));
+      }
+    }
+
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+      set_default_pool_threads(threads);
+      EXPECT_EQ(bits_of(conv2d(x, wd, &bias, spec).data()),
+                bits_of(ref.data()));
+      EXPECT_EQ(bits_of(conv2d(x_inf, wd_inf, &bias, spec).data()),
+                bits_of(ref_inf.data()));
+      EXPECT_EQ(bits_of(conv2d_codes(x, wc, &bias, spec).data()),
+                bits_of(ref.data()));
+      EXPECT_EQ(bits_of(conv2d_codes(x_inf, wc_inf, &bias, spec).data()),
+                bits_of(ref_inf.data()));
+      EXPECT_EQ(bits_of(conv2d_codes_codes(*xc, wc, &bias, spec, zcode).data()),
+                bits_of(ref_cc.data()));
+      EXPECT_EQ(
+          bits_of(conv2d_codes_codes(*xc, wc_inf, &bias, spec, zcode).data()),
+          bits_of(ref_cc_inf.data()));
+
+      const auto e = conv2d_codes_enc(x, wc, &bias, spec, enc);
+      ASSERT_TRUE(e.has_value());
+      EXPECT_EQ(bits_of(decoded(*e).data()),
+                bits_of(act_quantized(ref).data()));
+      const auto ecc = conv2d_codes_codes_enc(*xc, wc, &bias, spec, zcode, enc);
+      ASSERT_TRUE(ecc.has_value());
+      EXPECT_EQ(bits_of(decoded(*ecc).data()),
+                bits_of(act_quantized(ref_cc).data()));
+      // A non-finite activated output has no code: the fused ops refuse.
+      EXPECT_EQ(conv2d_codes_enc(x_inf, wc_inf, &bias, spec, enc).has_value(),
+                all_finite(act_quantized(ref_inf)));
+      EXPECT_EQ(
+          conv2d_codes_codes_enc(*xc, wc_inf, &bias, spec, zcode, enc)
+              .has_value(),
+          all_finite(act_quantized(ref_cc_inf)));
+    }
+  }
+
+  // Accumulation order.  On a constant input of 1.0 the ±2^60 taps at
+  // p = 0 and 3 cancel exactly, and the 1.25 taps between them are
+  // absorbed only in ascending-p order: an interior output is 6.25, where
+  // a kx-outer sweep would give 8.75.
+  const std::vector<std::uint32_t> order_taps = {14, 7, 7, 15, 7, 7, 7, 7, 7};
+  std::vector<std::uint32_t> order_idx = order_taps;
+  order_idx.insert(order_idx.end(), order_taps.begin(), order_taps.end());
+  const PackedCodes wo =
+      PackedCodes::from_codes(pack_raw(order_idx, 4, 0), {2, 1, 3, 3}, 4, wlut);
+  const Tensor wod = decoded(wo);
+  Tensor ones({1, 2, 4, 5});
+  for (float& v : ones.data()) v = 1.0F;
+  const auto ones_c = PackedCodes::pack(ones.data(), ones.shape(), af, alut, 8);
+  ASSERT_TRUE(ones_c.has_value());
+  const Tensor zero_bias({2});
+  const Conv2dSpec spec{1, 1, 2};
+  const Tensor ref = conv_by_im2col_matmul(ones, wod, zero_bias, spec);
+  const Tensor ref_cc =
+      conv_by_im2col_matmul(decoded(*ones_c), wod, zero_bias, spec);
+  ASSERT_EQ(ref.at4(0, 1, 1, 2), 6.25F);
+  for (const int threads : {1, 8}) {
+    SCOPED_TRACE(::testing::Message() << "order, threads=" << threads);
+    set_default_pool_threads(threads);
+    EXPECT_EQ(bits_of(conv2d(ones, wod, &zero_bias, spec).data()),
+              bits_of(ref.data()));
+    EXPECT_EQ(bits_of(conv2d_codes(ones, wo, &zero_bias, spec).data()),
+              bits_of(ref.data()));
+    EXPECT_EQ(
+        bits_of(
+            conv2d_codes_codes(*ones_c, wo, &zero_bias, spec, zcode).data()),
+        bits_of(ref_cc.data()));
   }
 }
 
