@@ -211,61 +211,22 @@ void BM_LpqEvalPool(benchmark::State& state) {
 }
 BENCHMARK(BM_LpqEvalPool)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
-// --- kernel-dispatch benches ---------------------------------------------
-// Direct kernel-table calls, no thread pool: the scalar reference (naive
-// row loop) against the blocked/register-tiled SIMD variants.  Outputs are
-// bit-identical across tables (test_kernels pins it); only the wall clock
-// moves.  The AVX2 cases skip on hosts without the feature.
-
-/// Mid-stack ResNet conv-as-GEMM shape (m = Cout, k = Cin*3*3, n = Ho*Wo).
-void run_gemm_kernel_bench(benchmark::State& state,
-                           const kernels::KernelTable& kt) {
-  constexpr std::int64_t m = 128, k = 1152, n = 196;
-  Rng rng(4);
-  std::vector<float> a(static_cast<std::size_t>(m * k));
-  std::vector<float> b(static_cast<std::size_t>(k * n));
-  std::vector<float> c(static_cast<std::size_t>(m * n));
-  for (auto& v : a) v = static_cast<float>(rng.gaussian(0.0, 0.1));
-  for (auto& v : b) v = static_cast<float>(rng.gaussian());
-  for (auto _ : state) {
-    kt.gemm_rows(a.data(), b.data(), nullptr, c.data(), 0, m, k, n);
-    benchmark::DoNotOptimize(c.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
-}
-
-void BM_GemmKernelScalar(benchmark::State& state) {
-  run_gemm_kernel_bench(state, kernels::scalar_kernels());
-}
-BENCHMARK(BM_GemmKernelScalar)->Unit(benchmark::kMillisecond);
-
-void BM_GemmKernelAvx2(benchmark::State& state) {
-  const kernels::KernelTable* kt = kernels::avx2_kernels();
-  if (kt == nullptr || !kernels::cpu_supports_avx2()) {
-    state.SkipWithError("AVX2 unavailable on this host");
-    return;
-  }
-  run_gemm_kernel_bench(state, *kt);
-}
-BENCHMARK(BM_GemmKernelAvx2)->Unit(benchmark::kMillisecond);
-
-void BM_GemmKernelAvx512(benchmark::State& state) {
-  const kernels::KernelTable* kt = kernels::avx512_kernels();
-  if (kt == nullptr || !kernels::cpu_supports_avx512()) {
-    state.SkipWithError("AVX-512 unavailable on this host");
-    return;
-  }
-  run_gemm_kernel_bench(state, *kt);
-}
-BENCHMARK(BM_GemmKernelAvx512)->Unit(benchmark::kMillisecond);
-
-// --- packed-code GEMM benches ----------------------------------------------
-// The LUT-decoding datapath against the float kernels on the same shapes.
-// Outputs are bit-identical (tests/test_codes.cpp pins it); the packed
-// operand streams 4-8x fewer weight bytes, and the acceptance bar is "no
-// slowdown vs float B-packing".  Arg is the LP width n (4 = nibble-packed
-// codes, 8 = byte codes, 12 = unpacked 16-bit codes).
+// --- GEMM kernel benches ---------------------------------------------------
+// Direct KernelTable::gemm calls, no thread pool, one benchmark per table:
+// the scalar reference against the blocked/register-tiled SIMD tables.
+// Outputs are bit-identical across tables and operand forms (test_kernels
+// and test_codes pin it); only the wall clock moves.  Tiers this host
+// cannot run skip.  Args:
+//   layout  0 = conv: the weight matrix as A [128 x 1152] against the
+//           [1152 x 196] patch matrix (mid-stack ResNet conv-as-GEMM);
+//           1 = linear: [196 x 512] tokens against a [256 x 512] weight
+//           held as B^T (ViT-ish projection).
+//   coded   0 = float weights (the decoded codes — the apples-to-apples
+//           baseline, since quantized weights carry structural zeros whose
+//           skip branch costs both paths identically); 1 = packed codes,
+//           LUT-decoded inside the kernel.
+//   n       LP width: 4 = nibble-packed codes, 8 = byte codes, 12 =
+//           unpacked 16-bit codes.
 
 LPConfig bench_cfg(int n) {
   return n == 4 ? LPConfig{4, 1, 2, 2.0}
@@ -273,35 +234,51 @@ LPConfig bench_cfg(int n) {
                   : LPConfig{12, 2, 5, 0.5};
 }
 
-/// Mid-stack ResNet conv-as-GEMM shape with the *weight* matrix as the
-/// coded A operand — the exact layout conv2d_codes executes.  `coded` Arg
-/// 0 runs the float kernel on the decoded weights: the apples-to-apples
-/// baseline, since quantized weights carry structural zeros whose skip
-/// branch costs both paths identically.
-void run_gemm_codes_bench(benchmark::State& state,
-                          const kernels::KernelTable& kt) {
-  constexpr std::int64_t m = 128, k = 1152, n = 196;
+/// The table named `tier` when this host can run it, else nullptr.
+const kernels::KernelTable* usable_table(const char* tier) {
+  const kernels::KernelTable* kt = kernels::by_name(tier);
+  const auto tables = kernels::available_kernels();
+  return std::find(tables.begin(), tables.end(), kt) != tables.end() ? kt
+                                                                     : nullptr;
+}
+
+void BM_GemmKernel(benchmark::State& state, const char* tier) {
+  const kernels::KernelTable* kt = usable_table(tier);
+  if (kt == nullptr) {
+    state.SkipWithError("kernel tier unavailable on this host");
+    return;
+  }
+  const bool linear = state.range(0) != 0;
   const bool coded = state.range(1) != 0;
-  const LPFormat fmt(bench_cfg(static_cast<int>(state.range(0))));
+  const std::int64_t m = linear ? 196 : 128;
+  const std::int64_t k = linear ? 512 : 1152;
+  const std::int64_t n = linear ? 256 : 196;
+  const std::vector<std::int64_t> w_shape =
+      linear ? std::vector<std::int64_t>{n, k} : std::vector<std::int64_t>{m, k};
+  const LPFormat fmt(bench_cfg(static_cast<int>(state.range(2))));
   const auto lut = build_decode_table(fmt);
-  Rng rng(4);
-  std::vector<float> w(static_cast<std::size_t>(m * k));
-  std::vector<float> b(static_cast<std::size_t>(k * n));
+  Rng rng(linear ? 9 : 4);
+  std::vector<float> w(static_cast<std::size_t>(w_shape[0] * k));
+  std::vector<float> x(static_cast<std::size_t>(linear ? m * k : k * n));
   std::vector<float> c(static_cast<std::size_t>(m * n));
   for (auto& v : w) v = static_cast<float>(rng.gaussian(0.0, 0.1));
-  for (auto& v : b) v = static_cast<float>(rng.gaussian());
-  const auto packed = PackedCodes::pack(w, {m, k}, fmt, lut);
-  const kernels::PackedCodesView view = packed->view();
-  std::vector<float> wq(w);
+  for (auto& v : x) v = static_cast<float>(rng.gaussian());
+  const auto packed = PackedCodes::pack(w, w_shape, fmt, lut);
+  std::vector<float> wq(w.size());
   for (std::size_t i = 0; i < wq.size(); ++i) {
     wq[i] = packed->decode_at(static_cast<std::int64_t>(i));
   }
+  const kernels::Operand weights =
+      coded ? kernels::Operand{nullptr, packed->view()}
+            : kernels::Operand{wq.data(), {}};
+  const kernels::Operand acts{x.data(), {}};
+  const kernels::GemmArgs args =
+      linear ? kernels::GemmArgs{acts, weights, true, nullptr, c.data(),
+                                 nullptr, k, n}
+             : kernels::GemmArgs{weights, acts, false, nullptr, c.data(),
+                                 nullptr, k, n};
   for (auto _ : state) {
-    if (coded) {
-      kt.gemm_codes_rows(view, b.data(), nullptr, c.data(), 0, m, k, n);
-    } else {
-      kt.gemm_rows(wq.data(), b.data(), nullptr, c.data(), 0, m, k, n);
-    }
+    (void)kt->gemm(args, 0, m);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
@@ -312,111 +289,18 @@ void run_gemm_codes_bench(benchmark::State& state,
       static_cast<double>(packed->logical_bytes());
 }
 
-void BM_GemmCodesScalar(benchmark::State& state) {
-  run_gemm_codes_bench(state, kernels::scalar_kernels());
-}
-BENCHMARK(BM_GemmCodesScalar)
-    ->Args({8, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})
-    ->ArgNames({"n", "coded"})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GemmCodesAvx2(benchmark::State& state) {
-  const kernels::KernelTable* kt = kernels::avx2_kernels();
-  if (kt == nullptr || !kernels::cpu_supports_avx2()) {
-    state.SkipWithError("AVX2 unavailable on this host");
-    return;
+void gemm_kernel_args(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"layout", "coded", "n"});
+  for (const int layout : {0, 1}) {
+    b->Args({layout, 0, 8});
+    for (const int n : {4, 8, 12}) b->Args({layout, 1, n});
   }
-  run_gemm_codes_bench(state, *kt);
-}
-BENCHMARK(BM_GemmCodesAvx2)
-    ->Args({8, 0})->Args({4, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})
-    ->ArgNames({"n", "coded"})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GemmCodesAvx512(benchmark::State& state) {
-  const kernels::KernelTable* kt = kernels::avx512_kernels();
-  if (kt == nullptr || !kernels::cpu_supports_avx512()) {
-    state.SkipWithError("AVX-512 unavailable on this host");
-    return;
-  }
-  run_gemm_codes_bench(state, *kt);
-}
-BENCHMARK(BM_GemmCodesAvx512)
-    ->Args({8, 0})->Args({4, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})
-    ->ArgNames({"n", "coded"})
-    ->Unit(benchmark::kMillisecond);
-
-/// ViT-ish linear shape ([tokens, k] x W[n, k]^T) with W as the coded B^T
-/// operand — the layout matmul_nt_codes executes.  `coded` Arg 0 runs the
-/// float gemm_nt kernel on the decoded weights as the in-process baseline.
-void run_gemm_codes_nt_bench(benchmark::State& state,
-                             const kernels::KernelTable& kt) {
-  constexpr std::int64_t m = 196, k = 512, n = 256;
-  const bool coded = state.range(1) != 0;
-  const LPFormat fmt(bench_cfg(static_cast<int>(state.range(0))));
-  const auto lut = build_decode_table(fmt);
-  Rng rng(9);
-  std::vector<float> w(static_cast<std::size_t>(n * k));
-  std::vector<float> a(static_cast<std::size_t>(m * k));
-  std::vector<float> c(static_cast<std::size_t>(m * n));
-  for (auto& v : w) v = static_cast<float>(rng.gaussian(0.0, 0.1));
-  for (auto& v : a) v = static_cast<float>(rng.gaussian());
-  const auto packed = PackedCodes::pack(w, {n, k}, fmt, lut);
-  const kernels::PackedCodesView view = packed->view();
-  std::vector<float> wq(w);
-  for (std::size_t i = 0; i < wq.size(); ++i) {
-    wq[i] = packed->decode_at(static_cast<std::int64_t>(i));
-  }
-  for (auto _ : state) {
-    if (coded) {
-      kt.gemm_codes_nt_rows(a.data(), view, nullptr, c.data(), nullptr, 0, m,
-                            k, n);
-    } else {
-      kt.gemm_nt_rows(a.data(), wq.data(), nullptr, c.data(), 0, m, k, n);
-    }
-    benchmark::DoNotOptimize(c.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
-  state.counters["weight_bytes_packed"] =
-      static_cast<double>(packed->payload_bytes());
-  state.counters["weight_bytes_float"] =
-      static_cast<double>(packed->logical_bytes());
+  b->Unit(benchmark::kMillisecond);
 }
 
-void BM_GemmCodesNtScalar(benchmark::State& state) {
-  run_gemm_codes_nt_bench(state, kernels::scalar_kernels());
-}
-BENCHMARK(BM_GemmCodesNtScalar)
-    ->Args({8, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})
-    ->ArgNames({"n", "coded"})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GemmCodesNtAvx2(benchmark::State& state) {
-  const kernels::KernelTable* kt = kernels::avx2_kernels();
-  if (kt == nullptr || !kernels::cpu_supports_avx2()) {
-    state.SkipWithError("AVX2 unavailable on this host");
-    return;
-  }
-  run_gemm_codes_nt_bench(state, *kt);
-}
-BENCHMARK(BM_GemmCodesNtAvx2)
-    ->Args({8, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})
-    ->ArgNames({"n", "coded"})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_GemmCodesNtAvx512(benchmark::State& state) {
-  const kernels::KernelTable* kt = kernels::avx512_kernels();
-  if (kt == nullptr || !kernels::cpu_supports_avx512()) {
-    state.SkipWithError("AVX-512 unavailable on this host");
-    return;
-  }
-  run_gemm_codes_nt_bench(state, *kt);
-}
-BENCHMARK(BM_GemmCodesNtAvx512)
-    ->Args({8, 0})->Args({4, 1})->Args({8, 1})->Args({12, 1})
-    ->ArgNames({"n", "coded"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GemmKernel, scalar, "scalar")->Apply(gemm_kernel_args);
+BENCHMARK_CAPTURE(BM_GemmKernel, avx2, "avx2")->Apply(gemm_kernel_args);
+BENCHMARK_CAPTURE(BM_GemmKernel, avx512, "avx512")->Apply(gemm_kernel_args);
 
 /// Quantize-kernel A/B on one 1M-element buffer (quantization is
 /// idempotent, so work per iteration is stable after the first pass).

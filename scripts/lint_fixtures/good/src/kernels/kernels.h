@@ -1,7 +1,8 @@
 // Minimal KernelTable mirror for linter self-tests.  Shape matters, not
 // semantics: one `using ...Fn = ...(*)` alias per kernel slot, a struct
 // with a name field plus the aliased members, and a `namespace plam`
-// block declaring the approximate entry points.
+// block declaring the approximate entry points (defined in the scalar
+// backend).
 #pragma once
 
 namespace lp::kernels {
@@ -20,8 +21,8 @@ namespace plam {
 
 double mitchell_mul(double x, double y);
 
-bool gemm_codes_nt_rows(const float* a, const float* b, float* c,
-                        long row_begin, long row_end, long k, long n);
+bool gemm(const float* a, const float* b, float* c, long row_begin,
+          long row_end, long k, long n);
 
 }  // namespace plam
 

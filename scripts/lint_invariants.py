@@ -197,10 +197,12 @@ def rule_kernel_table(root: pathlib.Path) -> list[Violation]:
                                      f"kTable entry `{e}` leaves a kernel "
                                      "unpopulated"))
 
-    # The plam backend is not a KernelTable; it must define every entry
-    # point the header's `namespace plam` block declares.
+    # The plam entry points are not a KernelTable slot; the scalar backend,
+    # whose GEMM body plam::gemm instantiates with the Mitchell multiply,
+    # must define every entry point the header's `namespace plam` block
+    # declares.
     pm = re.search(r"namespace\s+plam\s*\{", htext)
-    plam_src = root / "src/kernels/kernels_plam.cpp"
+    plam_src = root / "src/kernels/kernels_scalar.cpp"
     if pm:
         pbody = extract_balanced(htext, pm.end() - 1, "{", "}")
         declared = re.findall(r"\b(\w+)\s*\([^;]*\)\s*;", pbody)

@@ -6,11 +6,14 @@
 // reference for all inputs — including denormals, ±inf, NaN, and zero
 // entries in A (the GEMM kernels skip zero contributions exactly like the
 // scalar path, so an inf in B multiplied by a structural zero never leaks
-// into the accumulator).  The GEMM kernels accumulate each output element
-// in double, contributions added in ascending-k order with separate
-// mul-then-add rounding (never FMA), which is also why the build pins
-// -ffp-contract=off.  tests/test_kernels.cpp pins the equality on
-// adversarial inputs for every table available on the host.
+// into the accumulator).  The one exception: where two NaNs meet in a
+// product or a sum, which payload survives follows the operand order the
+// compiler picked, and is left open.  The GEMM kernels accumulate each
+// output element in double, contributions added in ascending-k order with
+// separate mul-then-add rounding (never FMA), which is also why the build
+// pins -ffp-contract=off.  tests/test_kernels.cpp pins the equality on
+// adversarial inputs for every table available on the host, against a
+// plain loop written in the test.
 //
 // Parallelism composes from the outside: the thread pool (LP_THREADS)
 // splits row blocks / chunks across threads, and the dispatched kernel
@@ -20,8 +23,8 @@
 //      use, then automatic selection);
 //   2. the best table the CPU supports (runtime cpuid, not compile flags).
 //
-// Orthogonal to table selection, LP_APPROX=plam opts the coded GEMM
-// paths into the log-domain approximate multiplier (see plam below) —
+// Orthogonal to table selection, LP_APPROX=plam opts the coded linear
+// GEMM ops into the log-domain approximate multiplier (see plam below) —
 // the one datapath that is deliberately NOT bit-identical; it carries a
 // pinned relative error bound instead.
 #pragma once
@@ -52,16 +55,6 @@ struct QuantIndexView {
   const float* values_f = nullptr;
   const double* values_d = nullptr;
 };
-
-/// GEMM row-block kernel: C[i,:] = bias + A[i,:] * B for i in
-/// [row_begin, row_end), with A [m,k] row-major, B [k,n] row-major
-/// (or, for the _nt entry, B [n,k] row-major holding B^T) and C [m,n].
-/// `bias` is n floats or nullptr.  Row blocks write disjoint rows, so the
-/// thread pool may split [0, m) freely without affecting results.
-using GemmRowsFn = void (*)(const float* a, const float* b, const float* bias,
-                            float* c, std::int64_t row_begin,
-                            std::int64_t row_end, std::int64_t k,
-                            std::int64_t n);
 
 /// View of a packed weight-code matrix for the LUT-decoding GEMM kernels:
 /// `data` is a row-major stream of codes, each `bits` wide (4 = two codes
@@ -161,64 +154,45 @@ struct ActEncode {
   int act = kActNone;
 };
 
-/// GEMM row-block kernel with a *coded* A operand (the conv-as-GEMM
-/// layout, where the weight matrix is A): C[i,:] = bias + decode(A)[i,:]
-/// * B, same shapes and accumulation contract as GemmRowsFn.  Decoding
-/// happens inside the datapath; the result is bit-identical to expanding
-/// A through the LUT and calling gemm_rows.
-using GemmCodesRowsFn = void (*)(const PackedCodesView& a, const float* b,
-                                 const float* bias, float* c,
-                                 std::int64_t row_begin, std::int64_t row_end,
-                                 std::int64_t k, std::int64_t n);
+/// One GEMM operand: `f` row-major floats, or — when `f` is null — the
+/// packed codes in `codes`, decoded through their LUT inside the kernel.
+/// The decoded floats are exactly what a float operand would hold, so an
+/// operand's storage form never changes the result.
+struct Operand {
+  const float* f = nullptr;
+  PackedCodesView codes;
+};
 
-/// GEMM row-block kernel against a *coded* B^T operand (the
-/// linear/attention layout, B [n,k] row-major holding W), plus an
-/// optional fused encode epilogue: C[i,:] = bias + A[i,:] * decode(B)^T,
-/// bit-identical to expanding B through the LUT and calling gemm_nt_rows.
-/// SIMD variants LUT-expand the codes into packed B panels during
-/// packing.  With `ep == nullptr` this writes float C rows and returns
-/// true.  With an epilogue, `c` is ignored (may be null): the row block
-/// stages into kernel-local scratch, the epilogue applies act +
-/// nearest-index encode per element, and only codes reach the output
-/// stream.  Returns false when any output element was non-finite (not
-/// encodable); the caller then re-runs the edge on the float path.
-using GemmCodesNtRowsFn = bool (*)(const float* a, const PackedCodesView& b,
-                                   const float* bias, float* c,
-                                   const ActEncode* ep,
-                                   std::int64_t row_begin,
-                                   std::int64_t row_end, std::int64_t k,
-                                   std::int64_t n);
+/// One GEMM: C[i,:] = bias + A[i,:] * B over the rows the caller hands the
+/// kernel.  A is [m,k] row-major; B is [k,n] row-major, or [n,k] holding
+/// B^T when `b_t` (the linear/attention layout).  `bias` is n floats or
+/// nullptr.  Each output element accumulates in double: seeded with its
+/// bias (or +0.0), products a * b added in ascending k as acc + product,
+/// A entries equal to ±0.0 skipped (an inf or NaN in B under a structural
+/// zero never reaches the accumulator), rounded to float once.
+///
+/// Without an epilogue (`ep` null) row i of C lands at c + i*n.  With one,
+/// `c` is unused: each row block stages in kernel-local scratch, ep->act
+/// and the nearest-index encode run per element, and only codes reach the
+/// output stream — the inter-layer activation never materializes as a
+/// float tensor.
+struct GemmArgs {
+  Operand a;
+  Operand b;
+  bool b_t = false;
+  const float* bias = nullptr;
+  float* c = nullptr;
+  const ActEncode* ep = nullptr;
+  std::int64_t k = 0, n = 0;
+};
 
-/// GEMM row-block kernel with BOTH operands coded, conv layout: A is the
-/// coded weight matrix [m,k] (weight LUT), B the coded activation patch
-/// matrix [k,n] (activation LUT), C float.  Each operand decodes through
-/// its own LUT at load; bit-identical to expanding both and calling
-/// gemm_rows.
-using GemmCodesCodesRowsFn = void (*)(const PackedCodesView& a,
-                                      const PackedCodesView& b,
-                                      const float* bias, float* c,
-                                      std::int64_t row_begin,
-                                      std::int64_t row_end, std::int64_t k,
-                                      std::int64_t n);
-
-/// GEMM row-block kernel with BOTH operands coded, linear layout: A is the
-/// coded activation matrix [m,k], B [n,k] row-major holds the coded
-/// weights (used transposed), plus an optional fused encode epilogue.
-/// With `ep == nullptr` this writes float C rows exactly like
-/// gemm_codes_nt_rows over the decoded A.  With an epilogue, `c` is
-/// ignored (may be null): the row block stages into kernel-local scratch,
-/// the epilogue applies act + nearest-index encode per element, and only
-/// codes reach the output stream — the inter-layer activation never
-/// materializes as a float tensor.  Returns false when any output element
-/// was non-finite (not encodable); the caller then re-runs the edge on the
-/// float path.
-using GemmCodesCodesNtRowsFn = bool (*)(const PackedCodesView& a,
-                                        const PackedCodesView& b,
-                                        const float* bias, float* c,
-                                        const ActEncode* ep,
-                                        std::int64_t row_begin,
-                                        std::int64_t row_end, std::int64_t k,
-                                        std::int64_t n);
+/// GEMM row-block kernel: rows [row_begin, row_end) of `args`.  Row blocks
+/// write disjoint rows, so the thread pool may split [0, m) freely without
+/// affecting results.  Returns false only when the epilogue met a
+/// non-finite output (no code represents it; the caller re-runs that edge
+/// on the float path).
+using GemmFn = bool (*)(const GemmArgs& args, std::int64_t row_begin,
+                        std::int64_t row_end);
 
 /// Quantize xs[0..n) in place against the index view (non-finite inputs
 /// become quiet NaN) and return the squared error accumulated in element
@@ -234,14 +208,47 @@ using NearestIndicesFn = void (*)(const QuantIndexView& v, const float* xs,
 
 struct KernelTable {
   const char* name;  ///< "scalar", "avx2", ... (the LP_KERNEL spelling)
-  GemmRowsFn gemm_rows;
-  GemmRowsFn gemm_nt_rows;
-  GemmCodesRowsFn gemm_codes_rows;
-  GemmCodesNtRowsFn gemm_codes_nt_rows;
-  GemmCodesCodesRowsFn gemm_codes_codes_rows;
-  GemmCodesCodesNtRowsFn gemm_codes_codes_nt_rows;
+  GemmFn gemm;
   QuantizeChunkFn quantize_chunk;
   NearestIndicesFn nearest_indices;
+
+  // Fixed-signature shape adapters over `gemm`, kept because the frozen
+  // end-to-end benchmark (e2ebench/src/replay.cpp) times the kernels
+  // through exactly these four calls.
+
+  /// Float A [m,k] x float B [k,n].
+  void gemm_rows(const float* a, const float* b, const float* bias, float* c,
+                 std::int64_t row_begin, std::int64_t row_end, std::int64_t k,
+                 std::int64_t n) const {
+    (void)gemm({{a, {}}, {b, {}}, false, bias, c, nullptr, k, n}, row_begin,
+               row_end);
+  }
+  /// Float A [m,k] x float B^T, B held as [n,k].
+  void gemm_nt_rows(const float* a, const float* b, const float* bias,
+                    float* c, std::int64_t row_begin, std::int64_t row_end,
+                    std::int64_t k, std::int64_t n) const {
+    (void)gemm({{a, {}}, {b, {}}, true, bias, c, nullptr, k, n}, row_begin,
+               row_end);
+  }
+  /// Coded A [m,k] x coded B [k,n] (the conv layout).
+  void gemm_codes_codes_rows(const PackedCodesView& a,
+                             const PackedCodesView& b, const float* bias,
+                             float* c, std::int64_t row_begin,
+                             std::int64_t row_end, std::int64_t k,
+                             std::int64_t n) const {
+    (void)gemm({{nullptr, a}, {nullptr, b}, false, bias, c, nullptr, k, n},
+               row_begin, row_end);
+  }
+  /// Coded A [m,k] x coded B^T, B held as [n,k] (the linear layout), with
+  /// the optional fused epilogue.
+  bool gemm_codes_codes_nt_rows(const PackedCodesView& a,
+                                const PackedCodesView& b, const float* bias,
+                                float* c, const ActEncode* ep,
+                                std::int64_t row_begin, std::int64_t row_end,
+                                std::int64_t k, std::int64_t n) const {
+    return gemm({{nullptr, a}, {nullptr, b}, true, bias, c, ep, k, n},
+                row_begin, row_end);
+  }
 };
 
 /// The portable reference table.  Always available; the other tables are
@@ -330,21 +337,11 @@ namespace plam {
 /// product (no log decomposition exists for them).
 [[nodiscard]] double mitchell_mul(double x, double y);
 
-/// Approximate counterpart of KernelTable::gemm_codes_nt_rows: same
-/// layout, bias seeding, ascending-k accumulation order, zero-skip, and
-/// fused-epilogue contract — but every product goes through mitchell_mul.
-bool gemm_codes_nt_rows(const float* a, const PackedCodesView& b,
-                        const float* bias, float* c, const ActEncode* ep,
-                        std::int64_t row_begin, std::int64_t row_end,
-                        std::int64_t k, std::int64_t n);
-
-/// Approximate counterpart of KernelTable::gemm_codes_codes_nt_rows (both
-/// operands coded, linear layout, optional fused epilogue).
-bool gemm_codes_codes_nt_rows(const PackedCodesView& a,
-                              const PackedCodesView& b, const float* bias,
-                              float* c, const ActEncode* ep,
-                              std::int64_t row_begin, std::int64_t row_end,
-                              std::int64_t k, std::int64_t n);
+/// The GEMM with every product through mitchell_mul: same GemmFn contract
+/// (bias seed, ascending-k double accumulation, zero-skip, epilogue), same
+/// body as the scalar table with only the multiply swapped.  Reached only
+/// from the coded linear ops (matmul_nt_codes*) under LP_APPROX=plam.
+bool gemm(const GemmArgs& args, std::int64_t row_begin, std::int64_t row_end);
 
 }  // namespace plam
 

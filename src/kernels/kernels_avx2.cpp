@@ -14,8 +14,8 @@
 //    indices (branchless boundary-key count), then the shared scalar
 //    quantize_apply pass whose element-order error accumulation is the
 //    reference code itself.
-//  * Edge tiles (rows % 4, columns % 8) fall through to the reference
-//    block helpers, which are per-element identical by definition.
+//  * Edge columns (n % 8) fall through to the reference GEMM, which is
+//    per-element identical by definition.
 #if defined(__AVX2__)
 
 #include <immintrin.h>
@@ -32,7 +32,7 @@ namespace lp::kernels {
 namespace {
 
 // ---------------------------------------------------------------------------
-// GEMM (B row-major): cache-blocked, register-tiled micro-kernel.
+// GEMM: cache-blocked, register-tiled micro-kernel.
 //
 // For each 8-column panel of B we pack the k x 8 slice into a contiguous
 // buffer once (pure data movement — loads reorder, arithmetic does not),
@@ -77,48 +77,6 @@ void gemm_micro(const float* a, const float* panel,
     float* crow = c + (i + r) * n + j;
     _mm_storeu_ps(crow, _mm256_cvtpd_ps(acc[r][0]));
     _mm_storeu_ps(crow + 4, _mm256_cvtpd_ps(acc[r][1]));
-  }
-}
-
-void gemm_rows_avx2(const float* a, const float* b, const float* bias,
-                    float* c, std::int64_t row_begin, std::int64_t row_end,
-                    std::int64_t k, std::int64_t n) {
-  const std::int64_t full_cols = n - (n % 8);
-  const std::int64_t rows = row_end - row_begin;
-  // Packing a panel costs one pass over the k x 8 slice; it only pays for
-  // itself when enough row tiles reuse it.  Short row blocks (the common
-  // case when the thread pool splits a small m) read B in place instead —
-  // same loads, no copy — so pool threads don't duplicate packing traffic.
-  const bool pack = rows >= 8;
-  if (full_cols > 0 && rows > 0) {
-    std::vector<float> panel(pack ? static_cast<std::size_t>(k) * 8 : 0);
-    for (std::int64_t j = 0; j < full_cols; j += 8) {
-      const float* pnl = b + j;
-      std::int64_t stride = n;
-      if (pack) {
-        float* dst = panel.data();
-        const float* src = b + j;
-        for (std::int64_t p = 0; p < k; ++p, dst += 8, src += n) {
-          std::memcpy(dst, src, 8 * sizeof(float));
-        }
-        pnl = panel.data();
-        stride = 8;
-      }
-      std::int64_t i = row_begin;
-      for (; i + 4 <= row_end; i += 4) {
-        gemm_micro<4>(a, pnl, stride, bias, c, i, j, k, n);
-      }
-      switch (row_end - i) {
-        case 3: gemm_micro<3>(a, pnl, stride, bias, c, i, j, k, n); break;
-        case 2: gemm_micro<2>(a, pnl, stride, bias, c, i, j, k, n); break;
-        case 1: gemm_micro<1>(a, pnl, stride, bias, c, i, j, k, n); break;
-        default: break;
-      }
-    }
-  }
-  if (full_cols < n) {
-    detail::gemm_ref_block(a, b, bias, c, row_begin, row_end, full_cols, n, k,
-                           n);
   }
 }
 
@@ -181,222 +139,108 @@ void decode_elems_avx2(const PackedCodesView& v, std::int64_t elem_begin,
 }
 
 // ---------------------------------------------------------------------------
-// GEMM with a coded A operand (conv-as-GEMM; the weight matrix is A).
-// The A row block is LUT-expanded once per call (SIMD decode, O(rows*k));
-// re-decoding per 8-column panel would multiply the nibble-extraction
-// cost by n/8.  The expanded floats are exactly what the float kernel
-// reads from its A tensor, so delegating to gemm_rows_avx2 — edge tiles
-// included — is bit-identical to decode-then-gemm by the decode contract,
-// and keeps a single copy of the pack/tile heuristics.
+// The one GEMM body.  The A row block is read in place or LUT-decoded
+// once per call (re-decoding per panel would multiply the nibble
+// extraction by n/8).  Each 8-column panel of B is packed from whatever
+// form B has: copied from [k,n] floats, LUT-decoded from [k,n] codes, or —
+// when B is held transposed — gathered from 8 rows of B^T.  The packed
+// floats are exactly the values a float B holds, so gemm_micro runs the
+// identical IEEE sequence for every operand form; edge columns go to the
+// shared reference GEMM.
 
-void gemm_codes_rows_avx2(const PackedCodesView& a, const float* b,
-                          const float* bias, float* c, std::int64_t row_begin,
-                          std::int64_t row_end, std::int64_t k,
-                          std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  decode_elems_avx2(a, row_begin * k, rows * k, a_block.data());
-  gemm_rows_avx2(a_block.data(), b, bias, c + row_begin * n, 0, rows, k, n);
-}
-
-// ---------------------------------------------------------------------------
-// GEMM with a coded B^T operand (linear/attention layout; B [n,k] holds W
-// as codes).  Per 8-column panel the 8 coded B rows are LUT-expanded once
-// into a packed float panel, then every A row of the block sweeps it with
-// gemm_nt_rows_avx2's exact accumulation — the decode cost amortizes over
-// the row block while the loads the arithmetic sees are the same values
-// the float kernel reads from its [n,k] tensor.
-
-void gemm_codes_nt_float_avx2(const float* a, const PackedCodesView& b,
-                              const float* bias, float* c,
-                              std::int64_t row_begin, std::int64_t row_end,
-                              std::int64_t k, std::int64_t n) {
-  const std::int64_t full_cols = n - (n % 8);
-  if (full_cols > 0 && row_end > row_begin) {
-    std::vector<float> rows8(static_cast<std::size_t>(k) * 8);
-    for (std::int64_t j = 0; j < full_cols; j += 8) {
-      for (int r = 0; r < 8; ++r) {
-        decode_elems_avx2(b, (j + r) * k, k, rows8.data() + r * k);
-      }
-      const float* br0 = rows8.data();
-      const float* br1 = br0 + k;
-      const float* br2 = br1 + k;
-      const float* br3 = br2 + k;
-      const float* br4 = br3 + k;
-      const float* br5 = br4 + k;
-      const float* br6 = br5 + k;
-      const float* br7 = br6 + k;
-      for (std::int64_t i = row_begin; i < row_end; ++i) {
-        const float* arow = a + i * k;
-        __m256d acc0;
-        __m256d acc1;
-        if (bias != nullptr) {
-          acc0 = _mm256_cvtps_pd(_mm_loadu_ps(bias + j));
-          acc1 = _mm256_cvtps_pd(_mm_loadu_ps(bias + j + 4));
-        } else {
-          acc0 = _mm256_setzero_pd();
-          acc1 = _mm256_setzero_pd();
-        }
-        for (std::int64_t p = 0; p < k; ++p) {
-          const double av = arow[p];
-          if (av == 0.0) continue;
-          const __m128 f0 = _mm_setr_ps(br0[p], br1[p], br2[p], br3[p]);
-          const __m128 f1 = _mm_setr_ps(br4[p], br5[p], br6[p], br7[p]);
-          const __m256d avv = _mm256_set1_pd(av);
-          acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(avv, _mm256_cvtps_pd(f0)));
-          acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(avv, _mm256_cvtps_pd(f1)));
-        }
-        float* crow = c + i * n;
-        _mm_storeu_ps(crow + j, _mm256_cvtpd_ps(acc0));
-        _mm_storeu_ps(crow + j + 4, _mm256_cvtpd_ps(acc1));
-      }
+/// Panel columns [j, j + 8) of B, k rows, row-major with stride 8.
+/// `rows_t` is k x 8 scratch for decoding coded B^T rows.
+void pack_panel(const GemmArgs& g, std::int64_t j, float* panel,
+                float* rows_t) {
+  // Locals, so the decode calls cannot make the compiler reload `g`.
+  const std::int64_t k = g.k;
+  const std::int64_t n = g.n;
+  const float* const bf = g.b.f;
+  const PackedCodesView codes = g.b.codes;
+  if (!g.b_t && bf != nullptr) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      std::memcpy(panel + p * 8, bf + p * n + j, 8 * sizeof(float));
+    }
+    return;
+  }
+  if (!g.b_t) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      decode_elems_avx2(codes, p * n + j, 8, panel + p * 8);
+    }
+    return;
+  }
+  const float* src[8];
+  for (int r = 0; r < 8; ++r) {
+    if (bf != nullptr) {
+      src[r] = bf + (j + r) * k;
+    } else {
+      decode_elems_avx2(codes, (j + r) * k, k, rows_t + r * k);
+      src[r] = rows_t + r * k;
     }
   }
-  if (full_cols < n) {
-    detail::gemm_codes_nt_ref_block(a, b, bias, c, row_begin, row_end,
-                                    full_cols, n, k, n);
+  for (std::int64_t p = 0; p < k; ++p) {
+    for (int r = 0; r < 8; ++r) panel[p * 8 + r] = src[r][p];
   }
 }
 
-bool gemm_codes_nt_rows_avx2(const float* a, const PackedCodesView& b,
-                             const float* bias, float* c, const ActEncode* ep,
-                             std::int64_t row_begin, std::int64_t row_end,
-                             std::int64_t k, std::int64_t n) {
-  if (ep == nullptr) {
-    gemm_codes_nt_float_avx2(a, b, bias, c, row_begin, row_end, k, n);
-    return true;
-  }
+bool gemm_avx2(const GemmArgs& g, std::int64_t row_begin,
+               std::int64_t row_end) {
   const std::int64_t rows = row_end - row_begin;
   if (rows <= 0) return true;
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float_avx2(a + row_begin * k, b, bias, c_block, 0, rows,
-                           k, n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
-}
-
-// ---------------------------------------------------------------------------
-// Both operands coded, conv layout (A = coded weights, B = coded
-// activation patches).  The A row block is LUT-expanded once per call;
-// each 8-column B panel is LUT-expanded at panel load — the activation
-// codes stream through the decode port exactly like the weight codes do
-// in gemm_codes_nt_rows_avx2.  The decoded floats equal the float path's
-// operands by the decode contract, so gemm_micro sees the identical IEEE
-// operation sequence; edge columns fall to the shared reference block.
-
-void gemm_codes_codes_rows_avx2(const PackedCodesView& a,
-                                const PackedCodesView& b, const float* bias,
-                                float* c, std::int64_t row_begin,
-                                std::int64_t row_end, std::int64_t k,
-                                std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  decode_elems_avx2(a, row_begin * k, rows * k, a_block.data());
+  const std::int64_t k = g.k;
+  const std::int64_t n = g.n;
+  std::vector<float> a_block;
+  const float* a = nullptr;
+  if (g.a.f != nullptr) {
+    a = g.a.f + row_begin * k;
+  } else {
+    a_block.resize(static_cast<std::size_t>(rows * k));
+    decode_elems_avx2(g.a.codes, row_begin * k, rows * k, a_block.data());
+    a = a_block.data();
+  }
+  // With an epilogue the block stages in kernel-local scratch and only
+  // codes leave; otherwise rows land in C directly.
+  float* const c = g.ep != nullptr ? detail::fused_scratch(rows * n)
+                                   : g.c + row_begin * n;
   const std::int64_t full_cols = n - (n % 8);
   if (full_cols > 0) {
-    std::vector<float> panel(static_cast<std::size_t>(k) * 8);
-    float* cr = c + row_begin * n;
+    // Packing a panel costs one pass over the k x 8 slice; it only pays
+    // for itself when enough row tiles reuse it.  Short row blocks (the
+    // common case when the thread pool splits a small m) read a float
+    // [k,n] B in place instead — same loads, no copy.
+    const bool in_place = g.b.f != nullptr && !g.b_t && rows < 8;
+    std::vector<float> panel(in_place ? 0 : static_cast<std::size_t>(k) * 8);
+    std::vector<float> rows_t(
+        g.b_t && g.b.f == nullptr ? static_cast<std::size_t>(k) * 8 : 0);
     for (std::int64_t j = 0; j < full_cols; j += 8) {
-      for (std::int64_t p = 0; p < k; ++p) {
-        decode_elems_avx2(b, p * n + j, 8, panel.data() + p * 8);
+      const float* pnl = panel.data();
+      std::int64_t stride = 8;
+      if (in_place) {
+        pnl = g.b.f + j;
+        stride = n;
+      } else {
+        pack_panel(g, j, panel.data(), rows_t.data());
       }
       std::int64_t i = 0;
       for (; i + 4 <= rows; i += 4) {
-        gemm_micro<4>(a_block.data(), panel.data(), 8, bias, cr, i, j, k, n);
+        gemm_micro<4>(a, pnl, stride, g.bias, c, i, j, k, n);
       }
       switch (rows - i) {
-        case 3: gemm_micro<3>(a_block.data(), panel.data(), 8, bias, cr, i, j, k, n); break;
-        case 2: gemm_micro<2>(a_block.data(), panel.data(), 8, bias, cr, i, j, k, n); break;
-        case 1: gemm_micro<1>(a_block.data(), panel.data(), 8, bias, cr, i, j, k, n); break;
+        case 3: gemm_micro<3>(a, pnl, stride, g.bias, c, i, j, k, n); break;
+        case 2: gemm_micro<2>(a, pnl, stride, g.bias, c, i, j, k, n); break;
+        case 1: gemm_micro<1>(a, pnl, stride, g.bias, c, i, j, k, n); break;
         default: break;
       }
     }
   }
   if (full_cols < n) {
-    detail::gemm_codes_codes_ref_block(a, b, bias, c, row_begin, row_end,
-                                       full_cols, n, k, n);
+    GemmArgs edge = g;
+    edge.a = Operand{a, {}};
+    edge.c = c;
+    detail::gemm_ref(edge, 0, rows, full_cols, n);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Both operands coded, linear layout, with the optional fused encode
-// epilogue.  Decode the coded activation row block once (same floats the
-// unfused path's activation tensor holds), run the proven coded-B^T
-// kernel over it, then — when an epilogue is attached — hand the staged
-// row block to the shared scalar encoder, so the only bytes that leave
-// are codes.
-
-bool gemm_codes_codes_nt_rows_avx2(const PackedCodesView& a,
-                                   const PackedCodesView& b, const float* bias,
-                                   float* c, const ActEncode* ep,
-                                   std::int64_t row_begin,
-                                   std::int64_t row_end, std::int64_t k,
-                                   std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  decode_elems_avx2(a, row_begin * k, rows * k, a_block.data());
-  if (ep == nullptr) {
-    gemm_codes_nt_float_avx2(a_block.data(), b, bias, c + row_begin * n, 0,
-                             rows, k, n);
-    return true;
-  }
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float_avx2(a_block.data(), b, bias, c_block, 0, rows, k,
-                           n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
-}
-
-// ---------------------------------------------------------------------------
-// GEMM against B^T ([n, k] row-major): 8 output columns per step, each
-// column's dot product in its own double lane (single chain per element,
-// ascending p).  The 8 B rows are walked sequentially in p — 8 forward
-// streams, cache-friendly without packing.
-
-void gemm_nt_rows_avx2(const float* a, const float* b, const float* bias,
-                       float* c, std::int64_t row_begin, std::int64_t row_end,
-                       std::int64_t k, std::int64_t n) {
-  const std::int64_t full_cols = n - (n % 8);
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t j = 0; j < full_cols; j += 8) {
-      const float* br0 = b + j * k;
-      const float* br1 = br0 + k;
-      const float* br2 = br1 + k;
-      const float* br3 = br2 + k;
-      const float* br4 = br3 + k;
-      const float* br5 = br4 + k;
-      const float* br6 = br5 + k;
-      const float* br7 = br6 + k;
-      __m256d acc0;
-      __m256d acc1;
-      if (bias != nullptr) {
-        acc0 = _mm256_cvtps_pd(_mm_loadu_ps(bias + j));
-        acc1 = _mm256_cvtps_pd(_mm_loadu_ps(bias + j + 4));
-      } else {
-        acc0 = _mm256_setzero_pd();
-        acc1 = _mm256_setzero_pd();
-      }
-      for (std::int64_t p = 0; p < k; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        const __m128 f0 = _mm_setr_ps(br0[p], br1[p], br2[p], br3[p]);
-        const __m128 f1 = _mm_setr_ps(br4[p], br5[p], br6[p], br7[p]);
-        const __m256d avv = _mm256_set1_pd(av);
-        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(avv, _mm256_cvtps_pd(f0)));
-        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(avv, _mm256_cvtps_pd(f1)));
-      }
-      _mm_storeu_ps(crow + j, _mm256_cvtpd_ps(acc0));
-      _mm_storeu_ps(crow + j + 4, _mm256_cvtpd_ps(acc1));
-    }
-    if (full_cols < n) {
-      detail::gemm_nt_ref_block(a, b, bias, c, i, i + 1, full_cols, n, k, n);
-    }
-  }
+  return g.ep == nullptr ||
+         detail::encode_scratch_block(*g.ep, c, row_begin * n, rows * n);
 }
 
 // ---------------------------------------------------------------------------
@@ -483,13 +327,7 @@ double quantize_chunk_avx2(const QuantIndexView& v, float* xs,
 
 // Referenced by dispatch.cpp (only when LOGPOSIT_HAVE_AVX2 is defined).
 const KernelTable* avx2_kernels_impl() {
-  static constexpr KernelTable kTable{"avx2",
-                                      gemm_rows_avx2,
-                                      gemm_nt_rows_avx2,
-                                      gemm_codes_rows_avx2,
-                                      gemm_codes_nt_rows_avx2,
-                                      gemm_codes_codes_rows_avx2,
-                                      gemm_codes_codes_nt_rows_avx2,
+  static constexpr KernelTable kTable{"avx2", gemm_avx2,
                                       quantize_chunk_avx2,
                                       nearest_indices_avx2};
   return &kTable;

@@ -20,8 +20,8 @@
 //    compare (_mm512_cmp_epu32_mask) — no sign-bias xor — and popcounts
 //    the 16-bit lane mask; the result equals the reference scan's index
 //    by construction.
-//  * Edge tiles (rows % 4, columns % 16) fall through to the reference
-//    block helpers, which are per-element identical by definition.
+//  * Edge columns (n % 16) fall through to the reference GEMM, which is
+//    per-element identical by definition.
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__)
 
 #include <immintrin.h>
@@ -38,7 +38,7 @@ namespace lp::kernels {
 namespace {
 
 // ---------------------------------------------------------------------------
-// GEMM (B row-major): cache-blocked, register-tiled micro-kernel.
+// GEMM: cache-blocked, register-tiled micro-kernel.
 // R rows x 16 columns of double accumulators live in zmm registers for
 // the whole k loop.  `panel_stride` is 16 for a packed panel and n for
 // reading B in place — identical loads either way.
@@ -78,46 +78,6 @@ void gemm_micro(const float* a, const float* panel, std::int64_t panel_stride,
     float* crow = c + (i + r) * n + j;
     _mm256_storeu_ps(crow, _mm512_cvtpd_ps(acc[r][0]));
     _mm256_storeu_ps(crow + 8, _mm512_cvtpd_ps(acc[r][1]));
-  }
-}
-
-void gemm_rows_avx512(const float* a, const float* b, const float* bias,
-                      float* c, std::int64_t row_begin, std::int64_t row_end,
-                      std::int64_t k, std::int64_t n) {
-  const std::int64_t full_cols = n - (n % 16);
-  const std::int64_t rows = row_end - row_begin;
-  // Pack only when enough row tiles amortize the k x 16 copy (same
-  // heuristic and threshold as the AVX2 table).
-  const bool pack = rows >= 8;
-  if (full_cols > 0 && rows > 0) {
-    std::vector<float> panel(pack ? static_cast<std::size_t>(k) * 16 : 0);
-    for (std::int64_t j = 0; j < full_cols; j += 16) {
-      const float* pnl = b + j;
-      std::int64_t stride = n;
-      if (pack) {
-        float* dst = panel.data();
-        const float* src = b + j;
-        for (std::int64_t p = 0; p < k; ++p, dst += 16, src += n) {
-          std::memcpy(dst, src, 16 * sizeof(float));
-        }
-        pnl = panel.data();
-        stride = 16;
-      }
-      std::int64_t i = row_begin;
-      for (; i + 4 <= row_end; i += 4) {
-        gemm_micro<4>(a, pnl, stride, bias, c, i, j, k, n);
-      }
-      switch (row_end - i) {
-        case 3: gemm_micro<3>(a, pnl, stride, bias, c, i, j, k, n); break;
-        case 2: gemm_micro<2>(a, pnl, stride, bias, c, i, j, k, n); break;
-        case 1: gemm_micro<1>(a, pnl, stride, bias, c, i, j, k, n); break;
-        default: break;
-      }
-    }
-  }
-  if (full_cols < n) {
-    detail::gemm_ref_block(a, b, bias, c, row_begin, row_end, full_cols, n, k,
-                           n);
   }
 }
 
@@ -166,203 +126,108 @@ void decode_elems_avx512(const PackedCodesView& v, std::int64_t elem_begin,
 }
 
 // ---------------------------------------------------------------------------
-// GEMM with a coded A operand (conv-as-GEMM).  Decode the A row block
-// once, then delegate to the float kernel — bit-identical to
-// decode-then-gemm by the decode contract.
+// The one GEMM body.  The A row block is read in place or LUT-decoded
+// once per call (re-decoding per panel would multiply the nibble
+// extraction by n/16).  Each 16-column panel of B is packed from whatever
+// form B has: copied from [k,n] floats, LUT-decoded from [k,n] codes, or —
+// when B is held transposed — gathered from 16 rows of B^T.  The packed
+// floats are exactly the values a float B holds, so gemm_micro runs the
+// identical IEEE sequence for every operand form; edge columns go to the
+// shared reference GEMM.
 
-void gemm_codes_rows_avx512(const PackedCodesView& a, const float* b,
-                            const float* bias, float* c,
-                            std::int64_t row_begin, std::int64_t row_end,
-                            std::int64_t k, std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  decode_elems_avx512(a, row_begin * k, rows * k, a_block.data());
-  gemm_rows_avx512(a_block.data(), b, bias, c + row_begin * n, 0, rows, k, n);
-}
-
-// ---------------------------------------------------------------------------
-// GEMM with a coded B^T operand (linear/attention layout).  Per 16-column
-// panel the 16 coded B rows are LUT-expanded once, then every A row of
-// the block sweeps them with the exact double-lane accumulation.
-
-void gemm_codes_nt_float_avx512(const float* a, const PackedCodesView& b,
-                                const float* bias, float* c,
-                                std::int64_t row_begin, std::int64_t row_end,
-                                std::int64_t k, std::int64_t n) {
-  const std::int64_t full_cols = n - (n % 16);
-  if (full_cols > 0 && row_end > row_begin) {
-    std::vector<float> rows16(static_cast<std::size_t>(k) * 16);
-    for (std::int64_t j = 0; j < full_cols; j += 16) {
-      const float* br[16];
-      for (int r = 0; r < 16; ++r) {
-        decode_elems_avx512(b, (j + r) * k, k, rows16.data() + r * k);
-        br[r] = rows16.data() + r * k;
-      }
-      for (std::int64_t i = row_begin; i < row_end; ++i) {
-        const float* arow = a + i * k;
-        __m512d acc0;
-        __m512d acc1;
-        if (bias != nullptr) {
-          acc0 = _mm512_cvtps_pd(_mm256_loadu_ps(bias + j));
-          acc1 = _mm512_cvtps_pd(_mm256_loadu_ps(bias + j + 8));
-        } else {
-          acc0 = _mm512_setzero_pd();
-          acc1 = _mm512_setzero_pd();
-        }
-        for (std::int64_t p = 0; p < k; ++p) {
-          const double av = arow[p];
-          if (av == 0.0) continue;
-          const __m256 f0 =
-              _mm256_setr_ps(br[0][p], br[1][p], br[2][p], br[3][p], br[4][p],
-                             br[5][p], br[6][p], br[7][p]);
-          const __m256 f1 =
-              _mm256_setr_ps(br[8][p], br[9][p], br[10][p], br[11][p],
-                             br[12][p], br[13][p], br[14][p], br[15][p]);
-          const __m512d avv = _mm512_set1_pd(av);
-          acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(avv, _mm512_cvtps_pd(f0)));
-          acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(avv, _mm512_cvtps_pd(f1)));
-        }
-        float* crow = c + i * n;
-        _mm256_storeu_ps(crow + j, _mm512_cvtpd_ps(acc0));
-        _mm256_storeu_ps(crow + j + 8, _mm512_cvtpd_ps(acc1));
-      }
+/// Panel columns [j, j + 16) of B, k rows, row-major with stride 16.
+/// `rows_t` is k x 16 scratch for decoding coded B^T rows.
+void pack_panel(const GemmArgs& g, std::int64_t j, float* panel,
+                float* rows_t) {
+  // Locals, so the decode calls cannot make the compiler reload `g`.
+  const std::int64_t k = g.k;
+  const std::int64_t n = g.n;
+  const float* const bf = g.b.f;
+  const PackedCodesView codes = g.b.codes;
+  if (!g.b_t && bf != nullptr) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      std::memcpy(panel + p * 16, bf + p * n + j, 16 * sizeof(float));
+    }
+    return;
+  }
+  if (!g.b_t) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      decode_elems_avx512(codes, p * n + j, 16, panel + p * 16);
+    }
+    return;
+  }
+  const float* src[16];
+  for (int r = 0; r < 16; ++r) {
+    if (bf != nullptr) {
+      src[r] = bf + (j + r) * k;
+    } else {
+      decode_elems_avx512(codes, (j + r) * k, k, rows_t + r * k);
+      src[r] = rows_t + r * k;
     }
   }
-  if (full_cols < n) {
-    detail::gemm_codes_nt_ref_block(a, b, bias, c, row_begin, row_end,
-                                    full_cols, n, k, n);
+  for (std::int64_t p = 0; p < k; ++p) {
+    for (int r = 0; r < 16; ++r) panel[p * 16 + r] = src[r][p];
   }
 }
 
-bool gemm_codes_nt_rows_avx512(const float* a, const PackedCodesView& b,
-                               const float* bias, float* c,
-                               const ActEncode* ep, std::int64_t row_begin,
-                               std::int64_t row_end, std::int64_t k,
-                               std::int64_t n) {
-  if (ep == nullptr) {
-    gemm_codes_nt_float_avx512(a, b, bias, c, row_begin, row_end, k, n);
-    return true;
-  }
+bool gemm_avx512(const GemmArgs& g, std::int64_t row_begin,
+                 std::int64_t row_end) {
   const std::int64_t rows = row_end - row_begin;
   if (rows <= 0) return true;
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float_avx512(a + row_begin * k, b, bias, c_block, 0,
-                             rows, k, n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
-}
-
-// ---------------------------------------------------------------------------
-// Both operands coded, conv layout.
-
-void gemm_codes_codes_rows_avx512(const PackedCodesView& a,
-                                  const PackedCodesView& b, const float* bias,
-                                  float* c, std::int64_t row_begin,
-                                  std::int64_t row_end, std::int64_t k,
-                                  std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  decode_elems_avx512(a, row_begin * k, rows * k, a_block.data());
+  const std::int64_t k = g.k;
+  const std::int64_t n = g.n;
+  std::vector<float> a_block;
+  const float* a = nullptr;
+  if (g.a.f != nullptr) {
+    a = g.a.f + row_begin * k;
+  } else {
+    a_block.resize(static_cast<std::size_t>(rows * k));
+    decode_elems_avx512(g.a.codes, row_begin * k, rows * k, a_block.data());
+    a = a_block.data();
+  }
+  // With an epilogue the block stages in kernel-local scratch and only
+  // codes leave; otherwise rows land in C directly.
+  float* const c = g.ep != nullptr ? detail::fused_scratch(rows * n)
+                                   : g.c + row_begin * n;
   const std::int64_t full_cols = n - (n % 16);
   if (full_cols > 0) {
-    std::vector<float> panel(static_cast<std::size_t>(k) * 16);
-    float* cr = c + row_begin * n;
+    // Packing a panel costs one pass over the k x 16 slice; it only pays
+    // for itself when enough row tiles reuse it.  Short row blocks (the
+    // common case when the thread pool splits a small m) read a float
+    // [k,n] B in place instead — same loads, no copy.
+    const bool in_place = g.b.f != nullptr && !g.b_t && rows < 8;
+    std::vector<float> panel(in_place ? 0 : static_cast<std::size_t>(k) * 16);
+    std::vector<float> rows_t(
+        g.b_t && g.b.f == nullptr ? static_cast<std::size_t>(k) * 16 : 0);
     for (std::int64_t j = 0; j < full_cols; j += 16) {
-      for (std::int64_t p = 0; p < k; ++p) {
-        decode_elems_avx512(b, p * n + j, 16, panel.data() + p * 16);
+      const float* pnl = panel.data();
+      std::int64_t stride = 16;
+      if (in_place) {
+        pnl = g.b.f + j;
+        stride = n;
+      } else {
+        pack_panel(g, j, panel.data(), rows_t.data());
       }
       std::int64_t i = 0;
       for (; i + 4 <= rows; i += 4) {
-        gemm_micro<4>(a_block.data(), panel.data(), 16, bias, cr, i, j, k, n);
+        gemm_micro<4>(a, pnl, stride, g.bias, c, i, j, k, n);
       }
       switch (rows - i) {
-        case 3: gemm_micro<3>(a_block.data(), panel.data(), 16, bias, cr, i, j, k, n); break;
-        case 2: gemm_micro<2>(a_block.data(), panel.data(), 16, bias, cr, i, j, k, n); break;
-        case 1: gemm_micro<1>(a_block.data(), panel.data(), 16, bias, cr, i, j, k, n); break;
+        case 3: gemm_micro<3>(a, pnl, stride, g.bias, c, i, j, k, n); break;
+        case 2: gemm_micro<2>(a, pnl, stride, g.bias, c, i, j, k, n); break;
+        case 1: gemm_micro<1>(a, pnl, stride, g.bias, c, i, j, k, n); break;
         default: break;
       }
     }
   }
   if (full_cols < n) {
-    detail::gemm_codes_codes_ref_block(a, b, bias, c, row_begin, row_end,
-                                       full_cols, n, k, n);
+    GemmArgs edge = g;
+    edge.a = Operand{a, {}};
+    edge.c = c;
+    detail::gemm_ref(edge, 0, rows, full_cols, n);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Both operands coded, linear layout, optional fused encode epilogue —
-// same staging discipline as the AVX2 table: only codes leave the kernel
-// when an epilogue is attached.
-
-bool gemm_codes_codes_nt_rows_avx512(const PackedCodesView& a,
-                                     const PackedCodesView& b,
-                                     const float* bias, float* c,
-                                     const ActEncode* ep,
-                                     std::int64_t row_begin,
-                                     std::int64_t row_end, std::int64_t k,
-                                     std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  decode_elems_avx512(a, row_begin * k, rows * k, a_block.data());
-  if (ep == nullptr) {
-    gemm_codes_nt_float_avx512(a_block.data(), b, bias, c + row_begin * n, 0,
-                               rows, k, n);
-    return true;
-  }
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float_avx512(a_block.data(), b, bias, c_block, 0, rows,
-                             k, n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
-}
-
-// ---------------------------------------------------------------------------
-// GEMM against B^T ([n, k] row-major): 16 output columns per step, each
-// column's dot product in its own double lane.
-
-void gemm_nt_rows_avx512(const float* a, const float* b, const float* bias,
-                         float* c, std::int64_t row_begin,
-                         std::int64_t row_end, std::int64_t k,
-                         std::int64_t n) {
-  const std::int64_t full_cols = n - (n % 16);
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t j = 0; j < full_cols; j += 16) {
-      const float* br[16];
-      for (int r = 0; r < 16; ++r) br[r] = b + (j + r) * k;
-      __m512d acc0;
-      __m512d acc1;
-      if (bias != nullptr) {
-        acc0 = _mm512_cvtps_pd(_mm256_loadu_ps(bias + j));
-        acc1 = _mm512_cvtps_pd(_mm256_loadu_ps(bias + j + 8));
-      } else {
-        acc0 = _mm512_setzero_pd();
-        acc1 = _mm512_setzero_pd();
-      }
-      for (std::int64_t p = 0; p < k; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        const __m256 f0 =
-            _mm256_setr_ps(br[0][p], br[1][p], br[2][p], br[3][p], br[4][p],
-                           br[5][p], br[6][p], br[7][p]);
-        const __m256 f1 =
-            _mm256_setr_ps(br[8][p], br[9][p], br[10][p], br[11][p],
-                           br[12][p], br[13][p], br[14][p], br[15][p]);
-        const __m512d avv = _mm512_set1_pd(av);
-        acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(avv, _mm512_cvtps_pd(f0)));
-        acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(avv, _mm512_cvtps_pd(f1)));
-      }
-      _mm256_storeu_ps(crow + j, _mm512_cvtpd_ps(acc0));
-      _mm256_storeu_ps(crow + j + 8, _mm512_cvtpd_ps(acc1));
-    }
-    if (full_cols < n) {
-      detail::gemm_nt_ref_block(a, b, bias, c, i, i + 1, full_cols, n, k, n);
-    }
-  }
+  return g.ep == nullptr ||
+         detail::encode_scratch_block(*g.ep, c, row_begin * n, rows * n);
 }
 
 // ---------------------------------------------------------------------------
@@ -441,13 +306,7 @@ double quantize_chunk_avx512(const QuantIndexView& v, float* xs,
 
 // Referenced by dispatch.cpp (only when LOGPOSIT_HAVE_AVX512 is defined).
 const KernelTable* avx512_kernels_impl() {
-  static constexpr KernelTable kTable{"avx512",
-                                      gemm_rows_avx512,
-                                      gemm_nt_rows_avx512,
-                                      gemm_codes_rows_avx512,
-                                      gemm_codes_nt_rows_avx512,
-                                      gemm_codes_codes_rows_avx512,
-                                      gemm_codes_codes_nt_rows_avx512,
+  static constexpr KernelTable kTable{"avx512", gemm_avx512,
                                       quantize_chunk_avx512,
                                       nearest_indices_avx512};
   return &kTable;

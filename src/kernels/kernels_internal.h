@@ -1,60 +1,22 @@
 // Internals shared between the kernel translation units.  The reference
-// block helpers live in kernels_scalar.cpp (compiled WITHOUT -mavx2) and
-// are called by the SIMD kernels for edge tiles; keeping them out-of-line
-// in a baseline-ISA TU guarantees the compiler cannot re-vectorize or
-// contract them differently per caller.
+// GEMM lives in kernels_scalar.cpp (compiled WITHOUT -mavx2) and is called
+// by the SIMD kernels for edge columns; keeping it out-of-line in a
+// baseline-ISA TU guarantees the compiler cannot re-vectorize or contract
+// it differently per caller.
 #pragma once
 
 #include "kernels/kernels.h"
 
 namespace lp::kernels::detail {
 
-/// Reference GEMM over the sub-block rows [row_begin, row_end) x columns
-/// [col_begin, col_end): per output element a double accumulator seeded
-/// from bias, contributions added in ascending-k order with zero A entries
-/// skipped.  Exactly the seed's arithmetic sequence — the definition the
-/// SIMD tiles must match bit-for-bit.
-void gemm_ref_block(const float* a, const float* b, const float* bias,
-                    float* c, std::int64_t row_begin, std::int64_t row_end,
-                    std::int64_t col_begin, std::int64_t col_end,
-                    std::int64_t k, std::int64_t n);
-
-/// Reference for the B-transposed layout (B is [n,k] row-major); same
-/// accumulation contract as gemm_ref_block, so both layouts round
-/// identically.
-void gemm_nt_ref_block(const float* a, const float* b, const float* bias,
-                       float* c, std::int64_t row_begin, std::int64_t row_end,
-                       std::int64_t col_begin, std::int64_t col_end,
-                       std::int64_t k, std::int64_t n);
-
-/// Reference for a coded A operand (conv-as-GEMM: the weight matrix is
-/// A): decode each A element through the view's LUT at the point of use,
-/// otherwise gemm_ref_block's exact arithmetic sequence (double
-/// accumulator, ascending-k, zero decoded values skipped).
-void gemm_codes_ref_block(const PackedCodesView& a, const float* b,
-                          const float* bias, float* c, std::int64_t row_begin,
-                          std::int64_t row_end, std::int64_t col_begin,
-                          std::int64_t col_end, std::int64_t k,
-                          std::int64_t n);
-
-/// Reference for a coded B^T operand (linear/attention: B [n,k] row-major
-/// holds W as codes); same accumulation contract as gemm_nt_ref_block.
-void gemm_codes_nt_ref_block(const float* a, const PackedCodesView& b,
-                             const float* bias, float* c,
-                             std::int64_t row_begin, std::int64_t row_end,
-                             std::int64_t col_begin, std::int64_t col_end,
-                             std::int64_t k, std::int64_t n);
-
-/// Reference for BOTH operands coded (conv layout: A = coded weights,
-/// B = coded activation patches), each decoded through its own LUT at the
-/// point of use; gemm_ref_block's exact arithmetic sequence (double
-/// accumulator, ascending-k, zero decoded A values skipped).
-void gemm_codes_codes_ref_block(const PackedCodesView& a,
-                                const PackedCodesView& b, const float* bias,
-                                float* c, std::int64_t row_begin,
-                                std::int64_t row_end, std::int64_t col_begin,
-                                std::int64_t col_end, std::int64_t k,
-                                std::int64_t n);
+/// The reference GEMM over rows [row_begin, row_end) x columns
+/// [col_begin, col_end) of `args`: the exact instantiation of the scalar
+/// body (GemmArgs' arithmetic, written to args.c + i*n + j; args.ep is
+/// ignored).  The definition the SIMD tiles must match bit-for-bit, and
+/// what they call for their edge columns.
+void gemm_ref(const GemmArgs& args, std::int64_t row_begin,
+              std::int64_t row_end, std::int64_t col_begin,
+              std::int64_t col_end);
 
 /// Geometry of one input plane of a convolution whose output channels
 /// each read a single input channel (Cin/groups == 1: depthwise).
@@ -94,8 +56,8 @@ bool encode_elem(const ActEncode& ep, float v, std::int64_t e);
 bool encode_row_block(const ActEncode& ep, const float* src,
                       std::int64_t elem_begin, std::int64_t count);
 
-/// encode_row_block for callers that own `scratch` (the fused GEMM
-/// wrappers): applies ep.act in place, skipping the staging copy.
+/// encode_row_block for callers that own `scratch` (the GEMM bodies'
+/// fused epilogue): applies ep.act in place, skipping the staging copy.
 bool encode_scratch_block(const ActEncode& ep, float* scratch,
                           std::int64_t elem_begin, std::int64_t count);
 

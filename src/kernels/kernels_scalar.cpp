@@ -2,8 +2,24 @@
 // and -ffp-contract=off: the arithmetic here (double accumulators,
 // ascending-k mul-then-add, zero-skip) is the definition every SIMD table
 // must reproduce bit-for-bit.
+//
+// It also holds the PLAM approximate multiply (LP_APPROX=plam).  PLAM
+// observes that a posit/LP multiply is an *add* in the log domain:
+// treating the fraction field as the fractional part of log2 makes
+// log2(2^e (1+f)) ~= e + f (Mitchell's approximation), so the product of
+// two decoded operands is reconstructed from the integer+fraction sum
+// without a mantissa multiplier.  The approximation always underestimates
+// the magnitude; the worst case is fx = fy = 0.5 where
+// (1+fx)(1+fy) / (1+fx+fy) = 2.25/2 gives a relative error of 1/9.
+// kPlamMaxRelError (kernels.h) pins that bound with a small margin.  The
+// dot product keeps the PDPU discipline: every approximate product is
+// accumulated *exactly* in double in ascending-k order and rounded to float
+// once, so the per-element error bound composes linearly:
+// |err(dot)| <= kPlamMaxRelError * sum_k |a_k * b_k|.  plam::gemm is the
+// GEMM body below with that multiply; convolution never routes through it.
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -12,140 +28,161 @@
 
 namespace lp::kernels {
 
+namespace plam {
+
+double mitchell_mul(double x, double y) {
+  if (x == 0.0 || y == 0.0 || !std::isfinite(x) || !std::isfinite(y)) {
+    // Exact fallback: zeros keep their sign algebra, non-finite operands
+    // keep IEEE semantics (inf * 0 = NaN, etc.) identical to the exact
+    // kernels.
+    return x * y;
+  }
+  int ex = 0;
+  int ey = 0;
+  const double mx = std::frexp(std::fabs(x), &ex);  // mx in [0.5, 1)
+  const double my = std::frexp(std::fabs(y), &ey);
+  // x = 2^(ex-1) * (1 + fx) with fx = 2*mx - 1 in [0, 1).
+  double f = (2.0 * mx - 1.0) + (2.0 * my - 1.0);
+  int e = (ex - 1) + (ey - 1);
+  if (f >= 1.0) {  // carry out of the fraction field
+    f -= 1.0;
+    ++e;
+  }
+  const double mag = std::ldexp(1.0 + f, e);
+  return (std::signbit(x) != std::signbit(y)) ? -mag : mag;
+}
+
+}  // namespace plam
+
+namespace {
+
+// ---------------------------------------------------------------------------
+// The GEMM body, one template over the multiply policy.  Every operand form
+// becomes the same loop: the A row block is read in place or decoded once,
+// B is expanded per column panel into a k x w float panel (copied out of
+// its [n,k] transpose, or LUT-decoded; a float [k,n] B is read in place),
+// and each output element then runs GemmArgs' arithmetic.  The decoded
+// floats are exactly the float operands' values, so the storage form never
+// moves a bit.
+
+/// The IEEE product: the exact kernels.
+struct ExactMul {
+  static double mul(double a, double b) { return a * b; }
+};
+
+/// Mitchell's log-domain product: plam::gemm.
+struct MitchellMul {
+  static double mul(double a, double b) { return plam::mitchell_mul(a, b); }
+};
+
+/// Columns per B panel: k x 64 floats stay cache-resident while every row
+/// of the block sweeps them.
+constexpr std::int64_t kPanelCols = 64;
+
+/// Columns [c0, c0 + w) of B as a row-major k x w float panel.
+void expand_panel(const GemmArgs& g, std::int64_t c0, std::int64_t w,
+                  float* out) {
+  auto value = [&g](std::int64_t e) {
+    return g.b.f != nullptr ? g.b.f[e] : packed_decode_at(g.b.codes, e);
+  };
+  if (g.b_t) {
+    // B^T row c0 + jj is panel column jj: read each row once, in order.
+    for (std::int64_t jj = 0; jj < w; ++jj) {
+      for (std::int64_t p = 0; p < g.k; ++p) {
+        out[p * w + jj] = value((c0 + jj) * g.k + p);
+      }
+    }
+  } else {
+    for (std::int64_t p = 0; p < g.k; ++p) {
+      for (std::int64_t jj = 0; jj < w; ++jj) {
+        out[p * w + jj] = value(p * g.n + c0 + jj);
+      }
+    }
+  }
+}
+
+/// Rows [row_begin, row_end) x columns [col_begin, col_end) of `g` into
+/// `c`, which holds row `row_begin` (row stride n).
+template <typename Mul>
+void gemm_block(const GemmArgs& g, std::int64_t row_begin,
+                std::int64_t row_end, std::int64_t col_begin,
+                std::int64_t col_end, float* c) {
+  const std::int64_t rows = row_end - row_begin;
+  if (rows <= 0 || col_end <= col_begin) return;
+  const std::int64_t k = g.k;
+  const std::int64_t n = g.n;
+  std::vector<float> a_block;
+  const float* a = nullptr;
+  if (g.a.f != nullptr) {
+    a = g.a.f + row_begin * k;
+  } else {
+    a_block.resize(static_cast<std::size_t>(rows * k));
+    for (std::int64_t t = 0; t < rows * k; ++t) {
+      a_block[static_cast<std::size_t>(t)] =
+          packed_decode_at(g.a.codes, row_begin * k + t);
+    }
+    a = a_block.data();
+  }
+  const bool b_in_place = g.b.f != nullptr && !g.b_t;
+  const std::int64_t panel_cols = std::min(kPanelCols, col_end - col_begin);
+  std::vector<float> panel(
+      b_in_place ? 0 : static_cast<std::size_t>(k * panel_cols));
+  std::vector<double> acc(static_cast<std::size_t>(panel_cols));
+  for (std::int64_t c0 = col_begin; c0 < col_end; c0 += panel_cols) {
+    const std::int64_t w = std::min(panel_cols, col_end - c0);
+    const float* bp = b_in_place ? g.b.f + c0 : panel.data();
+    const std::int64_t stride = b_in_place ? n : w;
+    if (!b_in_place) expand_panel(g, c0, w, panel.data());
+    for (std::int64_t i = 0; i < rows; ++i) {
+      const float* arow = a + i * k;
+      for (std::int64_t jj = 0; jj < w; ++jj) {
+        acc[static_cast<std::size_t>(jj)] =
+            g.bias != nullptr ? g.bias[c0 + jj] : 0.0;
+      }
+      for (std::int64_t p = 0; p < k; ++p) {
+        const double av = arow[p];
+        if (av == 0.0) continue;
+        const float* brow = bp + p * stride;
+        for (std::int64_t jj = 0; jj < w; ++jj) {
+          acc[static_cast<std::size_t>(jj)] += Mul::mul(av, brow[jj]);
+        }
+      }
+      float* crow = c + i * n + c0;
+      for (std::int64_t jj = 0; jj < w; ++jj) {
+        crow[jj] = static_cast<float>(acc[static_cast<std::size_t>(jj)]);
+      }
+    }
+  }
+}
+
+/// The GemmFn over gemm_block: float rows straight to args.c, or — with an
+/// epilogue — staged in kernel-local scratch (exactly the floats the
+/// unfused path's tensor would hold), then act + encode, so only codes
+/// leave the kernel.
+template <typename Mul>
+bool gemm_body(const GemmArgs& g, std::int64_t row_begin,
+               std::int64_t row_end) {
+  const std::int64_t rows = row_end - row_begin;
+  if (rows <= 0) return true;
+  if (g.ep == nullptr) {
+    gemm_block<Mul>(g, row_begin, row_end, 0, g.n, g.c + row_begin * g.n);
+    return true;
+  }
+  float* const staged = detail::fused_scratch(rows * g.n);
+  gemm_block<Mul>(g, row_begin, row_end, 0, g.n, staged);
+  return detail::encode_scratch_block(*g.ep, staged, row_begin * g.n,
+                                      rows * g.n);
+}
+
+}  // namespace
+
 namespace detail {
 
-void gemm_ref_block(const float* a, const float* b, const float* bias,
-                    float* c, std::int64_t row_begin, std::int64_t row_end,
-                    std::int64_t col_begin, std::int64_t col_end,
-                    std::int64_t k, std::int64_t n) {
-  const std::int64_t w = col_end - col_begin;
-  if (w <= 0 || row_end <= row_begin) return;
-  std::vector<double> acc(static_cast<std::size_t>(w));
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a + i * k;
-    if (bias != nullptr) {
-      for (std::int64_t j = 0; j < w; ++j) {
-        acc[static_cast<std::size_t>(j)] = bias[col_begin + j];
-      }
-    } else {
-      std::fill(acc.begin(), acc.end(), 0.0);
-    }
-    for (std::int64_t p = 0; p < k; ++p) {
-      const double av = arow[p];
-      if (av == 0.0) continue;
-      const float* brow = b + p * n + col_begin;
-      for (std::int64_t j = 0; j < w; ++j) {
-        acc[static_cast<std::size_t>(j)] += av * brow[j];
-      }
-    }
-    float* crow = c + i * n + col_begin;
-    for (std::int64_t j = 0; j < w; ++j) {
-      crow[j] = static_cast<float>(acc[static_cast<std::size_t>(j)]);
-    }
-  }
-}
-
-void gemm_nt_ref_block(const float* a, const float* b, const float* bias,
-                       float* c, std::int64_t row_begin, std::int64_t row_end,
-                       std::int64_t col_begin, std::int64_t col_end,
-                       std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t j = col_begin; j < col_end; ++j) {
-      const float* brow = b + j * k;
-      double s = (bias != nullptr) ? bias[j] : 0.0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        s += av * brow[p];
-      }
-      crow[j] = static_cast<float>(s);
-    }
-  }
-}
-
-void gemm_codes_ref_block(const PackedCodesView& a, const float* b,
-                          const float* bias, float* c, std::int64_t row_begin,
-                          std::int64_t row_end, std::int64_t col_begin,
-                          std::int64_t col_end, std::int64_t k,
-                          std::int64_t n) {
-  const std::int64_t w = col_end - col_begin;
-  if (w <= 0 || row_end <= row_begin) return;
-  std::vector<double> acc(static_cast<std::size_t>(w));
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    if (bias != nullptr) {
-      for (std::int64_t j = 0; j < w; ++j) {
-        acc[static_cast<std::size_t>(j)] = bias[col_begin + j];
-      }
-    } else {
-      std::fill(acc.begin(), acc.end(), 0.0);
-    }
-    for (std::int64_t p = 0; p < k; ++p) {
-      const double av = packed_decode_at(a, i * k + p);
-      if (av == 0.0) continue;
-      const float* brow = b + p * n + col_begin;
-      for (std::int64_t j = 0; j < w; ++j) {
-        acc[static_cast<std::size_t>(j)] += av * brow[j];
-      }
-    }
-    float* crow = c + i * n + col_begin;
-    for (std::int64_t j = 0; j < w; ++j) {
-      crow[j] = static_cast<float>(acc[static_cast<std::size_t>(j)]);
-    }
-  }
-}
-
-void gemm_codes_nt_ref_block(const float* a, const PackedCodesView& b,
-                             const float* bias, float* c,
-                             std::int64_t row_begin, std::int64_t row_end,
-                             std::int64_t col_begin, std::int64_t col_end,
-                             std::int64_t k, std::int64_t n) {
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * n;
-    for (std::int64_t j = col_begin; j < col_end; ++j) {
-      double s = (bias != nullptr) ? bias[j] : 0.0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        s += av * packed_decode_at(b, j * k + p);
-      }
-      crow[j] = static_cast<float>(s);
-    }
-  }
-}
-
-void gemm_codes_codes_ref_block(const PackedCodesView& a,
-                                const PackedCodesView& b, const float* bias,
-                                float* c, std::int64_t row_begin,
-                                std::int64_t row_end, std::int64_t col_begin,
-                                std::int64_t col_end, std::int64_t k,
-                                std::int64_t n) {
-  const std::int64_t w = col_end - col_begin;
-  if (w <= 0 || row_end <= row_begin) return;
-  std::vector<double> acc(static_cast<std::size_t>(w));
-  for (std::int64_t i = row_begin; i < row_end; ++i) {
-    if (bias != nullptr) {
-      for (std::int64_t j = 0; j < w; ++j) {
-        acc[static_cast<std::size_t>(j)] = bias[col_begin + j];
-      }
-    } else {
-      std::fill(acc.begin(), acc.end(), 0.0);
-    }
-    for (std::int64_t p = 0; p < k; ++p) {
-      const double av = packed_decode_at(a, i * k + p);
-      if (av == 0.0) continue;
-      const std::int64_t brow = p * n + col_begin;
-      for (std::int64_t j = 0; j < w; ++j) {
-        acc[static_cast<std::size_t>(j)] += av * packed_decode_at(b, brow + j);
-      }
-    }
-    float* crow = c + i * n + col_begin;
-    for (std::int64_t j = 0; j < w; ++j) {
-      crow[j] = static_cast<float>(acc[static_cast<std::size_t>(j)]);
-    }
-  }
+void gemm_ref(const GemmArgs& args, std::int64_t row_begin,
+              std::int64_t row_end, std::int64_t col_begin,
+              std::int64_t col_end) {
+  gemm_block<ExactMul>(args, row_begin, row_end, col_begin, col_end,
+                       args.c + row_begin * args.n);
 }
 
 void depthwise_conv_plane(const float* x, const float* wts,
@@ -340,112 +377,15 @@ void quantize_apply(const QuantIndexView& v, float* xs,
 
 }  // namespace detail
 
+namespace plam {
+
+bool gemm(const GemmArgs& args, std::int64_t row_begin, std::int64_t row_end) {
+  return gemm_body<MitchellMul>(args, row_begin, row_end);
+}
+
+}  // namespace plam
+
 namespace {
-
-void gemm_rows_scalar(const float* a, const float* b, const float* bias,
-                      float* c, std::int64_t row_begin, std::int64_t row_end,
-                      std::int64_t k, std::int64_t n) {
-  detail::gemm_ref_block(a, b, bias, c, row_begin, row_end, 0, n, k, n);
-}
-
-void gemm_nt_rows_scalar(const float* a, const float* b, const float* bias,
-                         float* c, std::int64_t row_begin,
-                         std::int64_t row_end, std::int64_t k,
-                         std::int64_t n) {
-  detail::gemm_nt_ref_block(a, b, bias, c, row_begin, row_end, 0, n, k, n);
-}
-
-void gemm_codes_rows_scalar(const PackedCodesView& a, const float* b,
-                            const float* bias, float* c,
-                            std::int64_t row_begin, std::int64_t row_end,
-                            std::int64_t k, std::int64_t n) {
-  detail::gemm_codes_ref_block(a, b, bias, c, row_begin, row_end, 0, n, k, n);
-}
-
-void gemm_codes_nt_float(const float* a, const PackedCodesView& b,
-                         const float* bias, float* c, std::int64_t row_begin,
-                         std::int64_t row_end, std::int64_t k,
-                         std::int64_t n) {
-  // Decode each coded B row once and sweep every A row over it (j outer,
-  // i inner) — the reference block's i-outer order would re-decode row j
-  // per output row.  Each c[i,j] is an independent dot product with the
-  // same ascending-p arithmetic, so the interchange cannot affect results.
-  std::vector<float> brow(static_cast<std::size_t>(k));
-  for (std::int64_t j = 0; j < n; ++j) {
-    for (std::int64_t p = 0; p < k; ++p) {
-      brow[static_cast<std::size_t>(p)] = packed_decode_at(b, j * k + p);
-    }
-    for (std::int64_t i = row_begin; i < row_end; ++i) {
-      const float* arow = a + i * k;
-      double s = (bias != nullptr) ? bias[j] : 0.0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        const double av = arow[p];
-        if (av == 0.0) continue;
-        s += av * brow[static_cast<std::size_t>(p)];
-      }
-      c[i * n + j] = static_cast<float>(s);
-    }
-  }
-}
-
-bool gemm_codes_nt_rows_scalar(const float* a, const PackedCodesView& b,
-                               const float* bias, float* c,
-                               const ActEncode* ep, std::int64_t row_begin,
-                               std::int64_t row_end, std::int64_t k,
-                               std::int64_t n) {
-  if (ep == nullptr) {
-    gemm_codes_nt_float(a, b, bias, c, row_begin, row_end, k, n);
-    return true;
-  }
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
-  // Fused epilogue: stage the finished float rows in kernel-local scratch
-  // (the values are exactly what the unfused path's tensor would hold),
-  // then act + encode each element — only codes leave the kernel.
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float(a + row_begin * k, b, bias, c_block, 0, rows, k,
-                      n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
-}
-
-void gemm_codes_codes_rows_scalar(const PackedCodesView& a,
-                                  const PackedCodesView& b, const float* bias,
-                                  float* c, std::int64_t row_begin,
-                                  std::int64_t row_end, std::int64_t k,
-                                  std::int64_t n) {
-  detail::gemm_codes_codes_ref_block(a, b, bias, c, row_begin, row_end, 0, n,
-                                     k, n);
-}
-
-bool gemm_codes_codes_nt_rows_scalar(const PackedCodesView& a,
-                                     const PackedCodesView& b,
-                                     const float* bias, float* c,
-                                     const ActEncode* ep,
-                                     std::int64_t row_begin,
-                                     std::int64_t row_end, std::int64_t k,
-                                     std::int64_t n) {
-  const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
-  // Decode the coded A row block once (the decoded floats ARE the floats
-  // the unfused path's activation tensor holds, by the LUT contract), then
-  // run the existing coded-B^T reference over it.  Composing the two
-  // proven paths keeps one definition of the accumulation order.
-  std::vector<float> a_block(static_cast<std::size_t>(rows * k));
-  for (std::int64_t t = 0; t < rows * k; ++t) {
-    a_block[static_cast<std::size_t>(t)] =
-        packed_decode_at(a, row_begin * k + t);
-  }
-  if (ep == nullptr) {
-    gemm_codes_nt_float(a_block.data(), b, bias, c + row_begin * n, 0, rows, k,
-                        n);
-    return true;
-  }
-  float* const c_block = detail::fused_scratch(rows * n);
-  gemm_codes_nt_float(a_block.data(), b, bias, c_block, 0, rows, k, n);
-  return detail::encode_scratch_block(*ep, c_block, row_begin * n,
-                                  rows * n);
-}
 
 double quantize_chunk_scalar(const QuantIndexView& v, float* xs,
                              std::size_t n) {
@@ -482,13 +422,7 @@ void nearest_indices_scalar(const QuantIndexView& v, const float* xs,
 }  // namespace
 
 const KernelTable& scalar_kernels() {
-  static constexpr KernelTable kTable{"scalar",
-                                      gemm_rows_scalar,
-                                      gemm_nt_rows_scalar,
-                                      gemm_codes_rows_scalar,
-                                      gemm_codes_nt_rows_scalar,
-                                      gemm_codes_codes_rows_scalar,
-                                      gemm_codes_codes_nt_rows_scalar,
+  static constexpr KernelTable kTable{"scalar", gemm_body<ExactMul>,
                                       quantize_chunk_scalar,
                                       nearest_indices_scalar};
   return kTable;

@@ -1,5 +1,6 @@
 #include "runtime/artifact.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <fstream>
@@ -7,6 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "kernels/kernels.h"
 #include "runtime/servable_model.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
@@ -104,6 +106,19 @@ struct Reader {
     return c;
   }
 };
+
+/// Largest of the first `numel` codes of a stream, in one pass; the width
+/// is a constant so packed_code_at's switch folds out of the loop.
+template <int Bits>
+std::uint32_t max_code(const std::vector<std::uint8_t>& stream,
+                       std::int64_t numel) {
+  const kernels::PackedCodesView v{stream.data(), 0, Bits, nullptr, 0};
+  std::uint32_t top = 0;
+  for (std::int64_t i = 0; i < numel; ++i) {
+    top = std::max(top, kernels::packed_code_at(v, i));
+  }
+  return top;
+}
 
 }  // namespace
 
@@ -301,6 +316,24 @@ Artifact read_artifact(const std::string& path) {
                         "code stream size mismatch at slot " << s);
       const auto bytes = r.get_bytes(nbytes);
       slot.codes.assign(bytes.begin(), bytes.end());
+      // The kernels index the LUT with these codes unchecked, and the
+      // checksum is no MAC: a re-sealed file reaches here.  The width must
+      // be the one pack() picks for the LUT (the SIMD 4-bit decode holds at
+      // most 16 entries), and every code must index the LUT.
+      const std::size_t lut_size = art.luts[slot.lut_index].size();
+      LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
+                        slot.code_bits == PackedCodes::bits_for(lut_size),
+                        "code width " << slot.code_bits << " does not fit its "
+                                      << lut_size << "-entry LUT at slot "
+                                      << s);
+      const std::uint32_t top =
+          slot.code_bits == 4   ? max_code<4>(slot.codes, numel)
+          : slot.code_bits == 8 ? max_code<8>(slot.codes, numel)
+                                : max_code<16>(slot.codes, numel);
+      LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
+                        numel == 0 || top < lut_size,
+                        "code " << top << " past the end of its " << lut_size
+                                << "-entry LUT at slot " << s);
     } else {
       const auto count = r.get<std::uint64_t>();
       LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,

@@ -41,124 +41,54 @@ void for_row_blocks(
   parallel_for(pool, 0, count, balanced_grain(count, pool.thread_count()), body);
 }
 
-/// Parallel GEMM over M-row blocks: the thread pool splits rows, the
-/// dispatched kernel (src/kernels — scalar reference or AVX2 blocked
-/// micro-kernel, selected at runtime) runs inside each block.  Every
-/// kernel accumulates each output element in double, contributions added
-/// in ascending-k order with zero A entries skipped — the exact arithmetic
-/// sequence matmul_nt's dot products produce, so both weight layouts and
-/// all dispatch variants round identically (see
-/// MatMul.NtBitIdenticalAdversarialMagnitudes and tests/test_kernels.cpp).
-/// Rows are independent, so the split is free to depend on the pool size
-/// without affecting results.
-void gemm_parallel(const float* a, const float* b, const float* bias, float* c,
-                   std::int64_t m, std::int64_t k, std::int64_t n) {
-  const kernels::KernelTable& kt = kernels::dispatch();
-  for_row_blocks(m * k * n, kGemmSerialBelow, m,
-                 [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
-                   kt.gemm_rows(a, b, bias, c, row_begin, row_end, k, n);
-                 });
+/// A GEMM operand from element `e0` on: a tensor's floats, or a code view
+/// (which carries the element offset, so a 4-bit weight slice needs no
+/// realignment).
+kernels::Operand operand(const Tensor& t, std::int64_t e0 = 0) {
+  return {t.raw() + e0, {}};
 }
 
-/// gemm_parallel with a packed-code A operand (the conv weight layout):
-/// same pool split, the kernel LUT-decodes A inside the row block.
-void gemm_codes_parallel(const kernels::PackedCodesView& a, const float* b,
-                         const float* bias, float* c, std::int64_t m,
-                         std::int64_t k, std::int64_t n) {
-  const kernels::KernelTable& kt = kernels::dispatch();
-  for_row_blocks(m * k * n, kGemmSerialBelow, m,
-                 [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
-                   kt.gemm_codes_rows(a, b, bias, c, row_begin, row_end, k, n);
-                 });
+kernels::Operand operand(const PackedCodes& t, std::int64_t e0 = 0) {
+  return {nullptr, t.view(e0)};
 }
 
-/// gemm_parallel with BOTH operands coded (conv layout): the kernel
-/// decodes each through its own LUT inside the row block.
-void gemm_codes_codes_parallel(const kernels::PackedCodesView& a,
-                               const kernels::PackedCodesView& b,
-                               const float* bias, float* c, std::int64_t m,
-                               std::int64_t k, std::int64_t n) {
-  const kernels::KernelTable& kt = kernels::dispatch();
-  for_row_blocks(m * k * n, kGemmSerialBelow, m,
-                 [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
-                   kt.gemm_codes_codes_rows(a, b, bias, c, row_begin, row_end,
-                                            k, n);
-                 });
+const float* raw_or_null(const Tensor* t) {
+  return t != nullptr ? t->raw() : nullptr;
 }
 
-/// Shared serial/parallel split for the coded-B^T GEMMs.  The nt kernels
-/// decode the whole B operand per row-block call (O(n*k)); a block must
-/// carry enough A rows to amortize that, or a short A split into one-row
-/// blocks pays the decode m times over.  Rows are independent, so
-/// coarsening the grain cannot affect results.
-void for_nt_row_blocks(
-    std::int64_t m, std::int64_t k, std::int64_t n,
-    const std::function<void(std::int64_t, std::int64_t, std::int64_t)>& body) {
-  constexpr std::int64_t kMinDecodeRows = 16;
-  if (m * k * n < kGemmSerialBelow || m <= kMinDecodeRows) {
+/// The one parallel GEMM: the pool splits the m rows of `g` into blocks and
+/// the kernel runs inside each — plam::gemm under kPlam, else the
+/// dispatched table's.  Every kernel runs GemmArgs' arithmetic, so all
+/// operand forms, both B layouts and every table round identically, and
+/// rows are independent, so the split may depend on the pool size without
+/// affecting results.  Returns false when any block's epilogue met a
+/// non-finite output (all blocks still run; the caller discards the
+/// stream).
+bool gemm_parallel(const kernels::GemmArgs& g, std::int64_t m,
+                   kernels::ApproxMode approx = kernels::ApproxMode::kExact) {
+  const kernels::GemmFn fn = approx == kernels::ApproxMode::kPlam
+                                 ? &kernels::plam::gemm
+                                 : kernels::dispatch().gemm;
+  std::atomic<bool> ok{true};
+  auto body = [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
+    if (!fn(g, row_begin, row_end)) ok.store(false, std::memory_order_relaxed);
+  };
+  // A coded B^T (the matmul_nt_codes* ops) is decoded whole per row-block
+  // call (O(n*k)); a block must carry enough A rows to amortize that, or a
+  // short A split into one-row blocks pays the decode m times over.
+  const std::int64_t min_rows = (g.b_t && g.b.f == nullptr) ? 16 : 1;
+  if (m * g.k * g.n < kGemmSerialBelow || m <= min_rows) {
     body(0, m, 0);
   } else {
     ThreadPool& pool = default_pool();
-    const std::int64_t grain =
-        std::max(balanced_grain(m, pool.thread_count()), kMinDecodeRows);
-    parallel_for(pool, 0, m, grain, body);
+    parallel_for(pool, 0, m,
+                 std::max(balanced_grain(m, pool.thread_count()), min_rows),
+                 body);
   }
-}
-
-/// Row-parallel float-A × coded-B^T GEMM with the optional fused encode
-/// epilogue and multiply-semantics selection.  kExact routes through the
-/// dispatched table; kPlam routes through the scalar log-domain
-/// approximate kernel (see kernels_plam.cpp).  Returns false when any
-/// row block reported a non-finite output.
-bool gemm_codes_nt_parallel(const float* a, const kernels::PackedCodesView& b,
-                            const float* bias, float* c,
-                            const kernels::ActEncode* ep,
-                            kernels::ApproxMode approx, std::int64_t m,
-                            std::int64_t k, std::int64_t n) {
-  const kernels::GemmCodesNtRowsFn fn =
-      approx == kernels::ApproxMode::kPlam
-          ? &kernels::plam::gemm_codes_nt_rows
-          : kernels::dispatch().gemm_codes_nt_rows;
-  std::atomic<bool> ok{true};
-  auto body = [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
-    if (!fn(a, b, bias, c, ep, row_begin, row_end, k, n)) {
-      ok.store(false, std::memory_order_relaxed);
-    }
-  };
-  for_nt_row_blocks(m, k, n, body);
   // Chaos harness: pretend the epilogue saw a non-finite output, so the
   // caller exercises the real escape hatch (discard the coded stream,
   // re-run the edge unfused — bit-identical by the fusion contract).
-  if (ep != nullptr && LP_FAULT_POINT("kernel.epilogue.nonfinite")) {
-    return false;
-  }
-  return ok.load(std::memory_order_relaxed);
-}
-
-/// Row-parallel both-coded nt GEMM with the optional fused encode
-/// epilogue.  Returns false when any row block reported a non-finite
-/// output (all blocks still run; the caller discards the stream).  Same
-/// decode-amortizing grain as matmul_nt_codes: the nt kernels expand the
-/// whole B operand per row-block call.
-bool gemm_codes_codes_nt_parallel(const kernels::PackedCodesView& a,
-                                  const kernels::PackedCodesView& b,
-                                  const float* bias, float* c,
-                                  const kernels::ActEncode* ep,
-                                  kernels::ApproxMode approx, std::int64_t m,
-                                  std::int64_t k, std::int64_t n) {
-  const kernels::GemmCodesCodesNtRowsFn fn =
-      approx == kernels::ApproxMode::kPlam
-          ? &kernels::plam::gemm_codes_codes_nt_rows
-          : kernels::dispatch().gemm_codes_codes_nt_rows;
-  std::atomic<bool> ok{true};
-  auto body = [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
-    if (!fn(a, b, bias, c, ep, row_begin, row_end, k, n)) {
-      ok.store(false, std::memory_order_relaxed);
-    }
-  };
-  for_nt_row_blocks(m, k, n, body);
-  // Same escape-hatch injection as gemm_codes_nt_parallel above.
-  if (ep != nullptr && LP_FAULT_POINT("kernel.epilogue.nonfinite")) {
+  if (g.ep != nullptr && LP_FAULT_POINT("kernel.epilogue.nonfinite")) {
     return false;
   }
   return ok.load(std::memory_order_relaxed);
@@ -175,8 +105,9 @@ Tensor matmul(const Tensor& a, const Tensor& b, const Tensor* bias) {
   const std::int64_t n = b.dim(1);
   Tensor c({m, n});
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
-  gemm_parallel(a.raw(), b.raw(), bias != nullptr ? bias->raw() : nullptr,
-                c.raw(), m, k, n);
+  (void)gemm_parallel({operand(a), operand(b), false, raw_or_null(bias),
+                       c.raw(), nullptr, k, n},
+                      m);
   return c;
 }
 
@@ -189,16 +120,9 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b, const Tensor* bias) {
   const std::int64_t n = b.dim(0);
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
   Tensor c({m, n});
-  // Same accumulation contract as gemm_parallel: double accumulator,
-  // ascending-k contributions, zero A entries skipped — so matmul(A,B) and
-  // matmul_nt(A,B^T) are bit-identical under every dispatch variant.
-  const kernels::KernelTable& kt = kernels::dispatch();
-  const float* bias_raw = bias != nullptr ? bias->raw() : nullptr;
-  for_row_blocks(m * k * n, kGemmSerialBelow, m,
-                 [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
-                   kt.gemm_nt_rows(a.raw(), b.raw(), bias_raw, c.raw(),
-                                   row_begin, row_end, k, n);
-                 });
+  (void)gemm_parallel({operand(a), operand(b), true, raw_or_null(bias),
+                       c.raw(), nullptr, k, n},
+                      m);
   return c;
 }
 
@@ -212,9 +136,9 @@ Tensor matmul_nt_codes(const Tensor& a, const PackedCodes& b,
   const std::int64_t n = b.dim(0);
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
   Tensor c({m, n});
-  (void)gemm_codes_nt_parallel(a.raw(), b.view(),
-                               bias != nullptr ? bias->raw() : nullptr,
-                               c.raw(), nullptr, approx, m, k, n);
+  (void)gemm_parallel({operand(a), operand(b), true, raw_or_null(bias),
+                       c.raw(), nullptr, k, n},
+                      m, approx);
   return c;
 }
 
@@ -233,9 +157,9 @@ std::optional<PackedCodes> matmul_nt_codes_enc(const Tensor& a,
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
   std::vector<std::uint8_t> codes(PackedCodes::stream_bytes(m * n, enc.bits));
   const kernels::ActEncode ep{enc.qidx, codes.data(), enc.bits, enc.act};
-  if (!gemm_codes_nt_parallel(a.raw(), b.view(),
-                              bias != nullptr ? bias->raw() : nullptr, nullptr,
-                              &ep, approx, m, k, n)) {
+  if (!gemm_parallel({operand(a), operand(b), true, raw_or_null(bias),
+                      nullptr, &ep, k, n},
+                     m, approx)) {
     return std::nullopt;
   }
   return PackedCodes::from_codes(std::move(codes), {m, n}, enc.bits, enc.lut);
@@ -251,9 +175,9 @@ Tensor matmul_nt_codes_codes(const PackedCodes& a, const PackedCodes& b,
   const std::int64_t n = b.dim(0);
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
   Tensor c({m, n});
-  (void)gemm_codes_codes_nt_parallel(
-      a.view(), b.view(), bias != nullptr ? bias->raw() : nullptr, c.raw(),
-      nullptr, approx, m, k, n);
+  (void)gemm_parallel({operand(a), operand(b), true, raw_or_null(bias),
+                       c.raw(), nullptr, k, n},
+                      m, approx);
   return c;
 }
 
@@ -272,9 +196,9 @@ std::optional<PackedCodes> matmul_nt_codes_codes_enc(const PackedCodes& a,
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
   std::vector<std::uint8_t> codes(PackedCodes::stream_bytes(m * n, enc.bits));
   const kernels::ActEncode ep{enc.qidx, codes.data(), enc.bits, enc.act};
-  if (!gemm_codes_codes_nt_parallel(a.view(), b.view(),
-                                    bias != nullptr ? bias->raw() : nullptr,
-                                    nullptr, &ep, approx, m, k, n)) {
+  if (!gemm_parallel({operand(a), operand(b), true, raw_or_null(bias),
+                      nullptr, &ep, k, n},
+                     m, approx)) {
     return std::nullopt;
   }
   return PackedCodes::from_codes(std::move(codes), {m, n}, enc.bits, enc.lut);
@@ -430,25 +354,14 @@ PackedCodes group_patches(const PackedCodes& input, std::int64_t c_begin,
 }
 
 /// result[m, n] = W * cols, W the [m, k] weight rows from element `w0`.
-/// A coded slice starts at an element (not byte) offset; the view carries
-/// it, so 4-bit slices need no realignment.
-void group_gemm(const Tensor& weight, std::int64_t w0, const Tensor& cols,
+template <typename Weight, typename Cols>
+void group_gemm(const Weight& weight, std::int64_t w0, const Cols& cols,
                 float* result, std::int64_t m, std::int64_t k,
                 std::int64_t n) {
-  gemm_parallel(weight.raw() + w0, cols.raw(), nullptr, result, m, k, n);
-}
-
-void group_gemm(const PackedCodes& weight, std::int64_t w0, const Tensor& cols,
-                float* result, std::int64_t m, std::int64_t k,
-                std::int64_t n) {
-  gemm_codes_parallel(weight.view(w0), cols.raw(), nullptr, result, m, k, n);
-}
-
-void group_gemm(const PackedCodes& weight, std::int64_t w0,
-                const PackedCodes& cols, float* result, std::int64_t m,
-                std::int64_t k, std::int64_t n) {
-  gemm_codes_codes_parallel(weight.view(w0), cols.view(), nullptr, result, m,
-                            k, n);
+  (void)gemm_parallel(
+      {operand(weight, w0), operand(cols), false, nullptr, result, nullptr, k,
+       n},
+      m);
 }
 
 /// `count` elements from element `e0` as floats: a tensor's own storage,
@@ -636,7 +549,7 @@ auto encode_sink(std::vector<std::uint8_t>& codes,
 
 /// The fused conv ops' shared body: run the core into an encode sink.
 /// Nullopt when an output was non-finite, or when the chaos harness
-/// forces the same escape as gemm_codes_nt_parallel.
+/// forces the same escape as gemm_parallel.
 template <typename Input>
 std::optional<PackedCodes> conv2d_enc(const Input& input,
                                       const PackedCodes& weight,

@@ -157,6 +157,62 @@ std::size_t first_lut_float_offset(const std::vector<std::uint8_t>& bytes) {
   return at;
 }
 
+/// Where one packed weight slot sits in an artifact body.
+struct PackedSlotLayout {
+  std::size_t code_bits_at = 0;  ///< i32 code_bits
+  std::size_t nbytes_at = 0;     ///< u64 stream size
+  std::size_t codes_at = 0;      ///< first code byte
+  std::int64_t numel = 0;
+  std::uint64_t lut_size = 0;    ///< entries in the slot's decode LUT
+};
+
+/// The first packed slot whose decode LUT has more than 16 entries (so its
+/// codes are at least 8 bits wide), walking the on-disk layout documented
+/// in runtime/artifact.h.
+PackedSlotLayout first_wide_packed_slot(const std::vector<std::uint8_t>& b) {
+  std::size_t at = first_lut_float_offset(b) - 16;  // back to num_luts
+  auto rd = [&](auto v) {
+    std::memcpy(&v, b.data() + at, sizeof(v));
+    at += sizeof(v);
+    return v;
+  };
+  const auto num_luts = rd(std::uint64_t{});
+  std::vector<std::uint64_t> lut_sizes;
+  for (std::uint64_t l = 0; l < num_luts; ++l) {
+    lut_sizes.push_back(rd(std::uint64_t{}));
+    at += 4 * lut_sizes.back();
+  }
+  while (at < b.size()) {
+    const bool packed = rd(std::uint8_t{}) == 0;
+    const auto rank = rd(std::uint32_t{});
+    PackedSlotLayout s;
+    s.numel = 1;
+    for (std::uint32_t d = 0; d < rank; ++d) s.numel *= rd(std::int64_t{});
+    if (!packed) {
+      at += 4 * rd(std::uint64_t{});
+      continue;
+    }
+    s.code_bits_at = at;
+    (void)rd(std::int32_t{});
+    s.lut_size = lut_sizes.at(rd(std::uint64_t{}));
+    s.nbytes_at = at;
+    const auto nbytes = rd(std::uint64_t{});
+    s.codes_at = at;
+    at += nbytes;
+    if (s.lut_size > 16) return s;
+  }
+  ADD_FAILURE() << "artifact has no packed slot with a LUT over 16 entries";
+  return {};
+}
+
+/// Patch the header's body-size field after the body changed length, then
+/// re-seal the checksum.
+void reseal_resized(std::vector<std::uint8_t>& bytes) {
+  const std::uint64_t body = bytes.size() - kHeaderBytes;
+  std::memcpy(bytes.data() + kChecksumOffset + 8, &body, sizeof(body));
+  reseal(bytes);
+}
+
 fault::TriggerPlan hits_plan(std::initializer_list<std::uint64_t> hits) {
   fault::TriggerPlan p;
   p.hits = hits;
@@ -384,6 +440,32 @@ TEST_F(ChaosTest, ArtifactCorruptionMatrixYieldsPreciseCodes) {
     b[first_lut_float_offset(b) + 3] ^= 0x80;
     reseal(b);
     cases.push_back({"lut", ArtifactErrorCode::kLutMismatch, std::move(b)});
+  }
+  {  // A code width too narrow to address the slot's LUT: an 8-bit slot
+     // relabelled 4-bit, its stream cut to the 4-bit size, re-sealed.  The
+     // kernels' 4-bit decode holds at most 16 LUT entries.
+    std::vector<std::uint8_t> b = good;
+    const PackedSlotLayout s = first_wide_packed_slot(b);
+    const std::int32_t bits = 4;
+    const std::uint64_t nbytes = (static_cast<std::uint64_t>(s.numel) + 1) / 2;
+    std::uint64_t old_nbytes = 0;
+    std::memcpy(&old_nbytes, b.data() + s.nbytes_at, sizeof(old_nbytes));
+    std::memcpy(b.data() + s.code_bits_at, &bits, sizeof(bits));
+    std::memcpy(b.data() + s.nbytes_at, &nbytes, sizeof(nbytes));
+    const auto cut = b.begin() + static_cast<std::ptrdiff_t>(s.codes_at);
+    b.erase(cut + static_cast<std::ptrdiff_t>(nbytes),
+            cut + static_cast<std::ptrdiff_t>(old_nbytes));
+    reseal_resized(b);
+    cases.push_back({"code-width", ArtifactErrorCode::kMalformed, std::move(b)});
+  }
+  {  // A code past the end of its LUT (8-bit codes, LUT under 256 entries),
+     // re-sealed.
+    std::vector<std::uint8_t> b = good;
+    const PackedSlotLayout s = first_wide_packed_slot(b);
+    EXPECT_LT(s.lut_size, 256U);
+    b[s.codes_at] = static_cast<std::uint8_t>(s.lut_size);
+    reseal(b);
+    cases.push_back({"code-range", ArtifactErrorCode::kMalformed, std::move(b)});
   }
 
   for (const Case& c : cases) {

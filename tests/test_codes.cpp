@@ -1,7 +1,7 @@
 // Packed weight-code datapath tests.
 //
-// The central contract: LUT-decoding GEMM (gemm_codes_rows with a coded A
-// operand, gemm_codes_nt_rows with a coded B^T operand) is bit-identical
+// The central contract: LUT-decoding GEMM (a coded A operand, or a coded
+// B^T operand, through KernelTable::gemm) is bit-identical
 // to decode-then-GEMM for every kernel table, every code width (4-bit
 // packed through 16-bit), and every shape — including decode tables with
 // denormal and ±inf entries, structural zeros under infinities, unaligned
@@ -120,14 +120,11 @@ class CodesKernelTest : public ::testing::Test {
 };
 
 TEST_F(CodesKernelTest, TablesCarryCodeKernels) {
-  for (const auto* t : tables_) {
-    EXPECT_NE(t->gemm_codes_rows, nullptr) << t->name;
-    EXPECT_NE(t->gemm_codes_nt_rows, nullptr) << t->name;
-  }
+  for (const auto* t : tables_) EXPECT_NE(t->gemm, nullptr) << t->name;
 }
 
-/// gemm_codes_rows (coded A, the conv layout) against decode-then-
-/// gemm_rows on the scalar reference, every table, every code width,
+/// Coded A (the conv layout) against decode-then-gemm_rows on the scalar
+/// reference, every table, every code width,
 /// bias on/off, unaligned offsets, and infs in float B guarded by
 /// structural-zero codes in A.
 TEST_F(CodesKernelTest, CodedABitIdenticalToDecodeThenGemm) {
@@ -174,8 +171,9 @@ TEST_F(CodesKernelTest, CodedABitIdenticalToDecodeThenGemm) {
           kernels::scalar_kernels().gemm_rows(a_dec.data(), b.data(), bp,
                                               c_ref.data(), 0, s.m, s.k, s.n);
           for (const auto* t : tables_) {
-            t->gemm_codes_rows(view, b.data(), bp, c_got.data(), 0, s.m, s.k,
-                               s.n);
+            ASSERT_TRUE(t->gemm({{nullptr, view}, {b.data(), {}}, false, bp,
+                                 c_got.data(), nullptr, s.k, s.n},
+                                0, s.m));
             EXPECT_TRUE(bitwise_equal(c_ref.data(), c_got.data(), s.m * s.n))
                 << t->name << " bits=" << bits << " " << s.m << "x" << s.k
                 << "x" << s.n << " offset=" << offset
@@ -187,8 +185,8 @@ TEST_F(CodesKernelTest, CodedABitIdenticalToDecodeThenGemm) {
   }
 }
 
-/// gemm_codes_nt_rows (coded B^T, the linear layout) against
-/// decode-then-gemm_nt_rows, with ±inf decode-table entries guarded by
+/// Coded B^T (the linear layout) against decode-then-gemm_nt_rows, with
+/// ±inf decode-table entries guarded by
 /// structural zeros in float A.
 TEST_F(CodesKernelTest, CodedBtBitIdenticalToDecodeThenGemm) {
   for (const int bits : {4, 8, 16}) {
@@ -227,8 +225,9 @@ TEST_F(CodesKernelTest, CodedBtBitIdenticalToDecodeThenGemm) {
         kernels::scalar_kernels().gemm_nt_rows(a.data(), b_dec.data(), bp,
                                                c_ref.data(), 0, s.m, s.k, s.n);
         for (const auto* t : tables_) {
-          t->gemm_codes_nt_rows(a.data(), view, bp, c_got.data(), nullptr, 0,
-                                s.m, s.k, s.n);
+          ASSERT_TRUE(t->gemm({{a.data(), {}}, {nullptr, view}, true, bp,
+                               c_got.data(), nullptr, s.k, s.n},
+                              0, s.m));
           EXPECT_TRUE(bitwise_equal(c_ref.data(), c_got.data(), s.m * s.n))
               << t->name << " bits=" << bits << " " << s.m << "x" << s.k << "x"
               << s.n << (bp != nullptr ? " +bias" : "");
@@ -260,20 +259,24 @@ TEST_F(CodesKernelTest, SplitRowRangesMatchFullRange) {
   std::vector<float> c_split(c_full.size());
   const std::int64_t cuts[] = {0, 1, 2, 5, 6, s.m};
   for (const auto* t : tables_) {
-    t->gemm_codes_rows(av, b_float.data(), nullptr, c_full.data(), 0, s.m, s.k,
-                       s.n);
+    const auto coded_a = [&](float* c) -> kernels::GemmArgs {
+      return {{nullptr, av}, {b_float.data(), {}}, false, nullptr, c, nullptr,
+              s.k, s.n};
+    };
+    ASSERT_TRUE(t->gemm(coded_a(c_full.data()), 0, s.m));
     for (std::size_t ci = 0; ci + 1 < std::size(cuts); ++ci) {
-      t->gemm_codes_rows(av, b_float.data(), nullptr, c_split.data(), cuts[ci],
-                         cuts[ci + 1], s.k, s.n);
+      ASSERT_TRUE(t->gemm(coded_a(c_split.data()), cuts[ci], cuts[ci + 1]));
     }
     EXPECT_TRUE(bitwise_equal(c_full.data(), c_split.data(), s.m * s.n))
         << t->name << " codes_rows";
 
-    t->gemm_codes_nt_rows(x.data(), bv, nullptr, c_full.data(), nullptr, 0,
-                          s.m, s.k, s.n);
+    const auto coded_bt = [&](float* c) -> kernels::GemmArgs {
+      return {{x.data(), {}}, {nullptr, bv}, true, nullptr, c, nullptr,
+              s.k, s.n};
+    };
+    ASSERT_TRUE(t->gemm(coded_bt(c_full.data()), 0, s.m));
     for (std::size_t ci = 0; ci + 1 < std::size(cuts); ++ci) {
-      t->gemm_codes_nt_rows(x.data(), bv, nullptr, c_split.data(), nullptr,
-                            cuts[ci], cuts[ci + 1], s.k, s.n);
+      ASSERT_TRUE(t->gemm(coded_bt(c_split.data()), cuts[ci], cuts[ci + 1]));
     }
     EXPECT_TRUE(bitwise_equal(c_full.data(), c_split.data(), s.m * s.n))
         << t->name << " codes_nt_rows";

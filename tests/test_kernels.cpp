@@ -75,12 +75,7 @@ TEST_F(KernelTablesTest, ScalarAlwaysFirstAndComplete) {
   EXPECT_EQ(tables_[0], &kernels::scalar_kernels());
   for (const auto* t : tables_) {
     EXPECT_NE(t->name, nullptr);
-    EXPECT_NE(t->gemm_rows, nullptr);
-    EXPECT_NE(t->gemm_nt_rows, nullptr);
-    EXPECT_NE(t->gemm_codes_rows, nullptr);
-    EXPECT_NE(t->gemm_codes_nt_rows, nullptr);
-    EXPECT_NE(t->gemm_codes_codes_rows, nullptr);
-    EXPECT_NE(t->gemm_codes_codes_nt_rows, nullptr);
+    EXPECT_NE(t->gemm, nullptr);
     EXPECT_NE(t->quantize_chunk, nullptr);
     EXPECT_NE(t->nearest_indices, nullptr);
   }
@@ -337,6 +332,267 @@ TEST_F(GemmBitEquality, OpsLayerUsesDispatchedKernel) {
   EXPECT_TRUE(bitwise_equal(c.raw(), c_ref.data(), s.m * s.n));
 }
 
+// --- GEMM oracle -----------------------------------------------------------
+// The tests above compare tables against the scalar table.  This one spells
+// the GEMM contract out as a plain loop in the test, independent of every
+// table: per output element a double accumulator seeded with the bias (or
+// +0.0), contributions in ascending k, A entries equal to ±0.0 skipped, each
+// contribution `acc + a * b`, one rounding to float.  Every operand form of
+// every table must match it bit-for-bit.
+
+namespace oracle {
+
+// Distinct quiet-NaN payloads for the A and B tables, so each NaN output
+// shows which operand's NaN reached it.
+constexpr std::uint32_t kNanBitsA = 0x7FC0A5A5U;
+constexpr std::uint32_t kNanBitsB = 0xFFC05A5AU;
+
+// Code layout shared by both tables: 0/1 are ±0.0, 2-4 finite specials, 5/6
+// ±inf, 7 NaN, the rest random magnitudes.
+constexpr std::uint32_t kPosZero = 0, kNegZero = 1, kPosInf = 5, kNegInf = 6,
+                        kNan = 7, kFirstRandom = 8;
+
+std::vector<float> make_lut(std::size_t size, std::uint32_t nan_bits,
+                            std::uint64_t seed) {
+  std::vector<float> lut(size);
+  Rng rng(seed);
+  for (float& v : lut) {
+    v = static_cast<float>(rng.gaussian() *
+                           std::pow(10.0, rng.uniform(-42.0, 38.0)));
+  }
+  lut[kPosZero] = 0.0F;
+  lut[kNegZero] = -0.0F;
+  lut[2] = kDenorm;
+  lut[3] = kHuge;
+  lut[4] = -kHuge;
+  lut[kPosInf] = kInf;
+  lut[kNegInf] = -kInf;
+  lut[kNan] = std::bit_cast<float>(nan_bits);
+  return lut;
+}
+
+/// Codes at element offset `offset` of a `bits`-wide stream (junk before).
+std::vector<std::uint8_t> pack(const std::vector<std::uint32_t>& idx, int bits,
+                               std::int64_t offset) {
+  const auto total = idx.size() + static_cast<std::size_t>(offset);
+  std::vector<std::uint8_t> out(
+      bits == 4 ? (total + 1) / 2 : bits == 8 ? total : total * 2, 0xA5);
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    const std::size_t e = i + static_cast<std::size_t>(offset);
+    if (bits == 4) {
+      out[e / 2] = static_cast<std::uint8_t>(
+          (out[e / 2] & ~(0xFU << ((e % 2) * 4))) | (idx[i] << ((e % 2) * 4)));
+    } else if (bits == 8) {
+      out[e] = static_cast<std::uint8_t>(idx[i]);
+    } else {
+      out[e * 2] = static_cast<std::uint8_t>(idx[i] & 0xFFU);
+      out[e * 2 + 1] = static_cast<std::uint8_t>(idx[i] >> 8);
+    }
+  }
+  return out;
+}
+
+/// One shape's operands in every storage form: A [m,k], B [k,n] and B^T
+/// [n,k], each as decoded floats and as codes.
+struct Case {
+  std::int64_t m, k, n;
+  int bits;
+  std::int64_t offset;
+  std::vector<float> lut_a, lut_b;
+  std::vector<float> a, b, bt;
+  std::vector<std::uint8_t> a_codes, b_codes, bt_codes;
+  std::vector<float> bias;
+
+  [[nodiscard]] kernels::PackedCodesView view(
+      const std::vector<std::uint8_t>& codes,
+      const std::vector<float>& lut) const {
+    return {codes.data(), offset, bits, lut.data(),
+            static_cast<std::uint32_t>(lut.size())};
+  }
+};
+
+Case make_case(const GemmShape& s, int bits, std::int64_t offset,
+               std::uint64_t seed) {
+  Case c{s.m, s.k, s.n, bits, offset, {}, {}, {}, {}, {}, {}, {}, {}, {}};
+  const std::size_t lut_size = bits == 4 ? 16 : bits == 8 ? 200 : 1000;
+  c.lut_a = make_lut(lut_size, kNanBitsA, seed);
+  c.lut_b = make_lut(lut_size, kNanBitsB, seed + 1);
+  Rng rng(seed + 2);
+  auto draw = [&](std::size_t count) {
+    std::vector<std::uint32_t> idx(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      // Finite values only, with every seventh entry a signed zero.
+      auto v = static_cast<std::uint32_t>(
+          rng.uniform(0.0, static_cast<double>(lut_size) - 0.5));
+      if (v >= kPosInf && v <= kNan) v += kFirstRandom - kPosInf;
+      if (i % 7 == 3) v = (i % 2 == 0) ? kPosZero : kNegZero;
+      idx[i] = v;
+    }
+    return idx;
+  };
+  std::vector<std::uint32_t> ai = draw(static_cast<std::size_t>(s.m * s.k));
+  std::vector<std::uint32_t> bi = draw(static_cast<std::size_t>(s.k * s.n));
+  auto at = [](std::vector<std::uint32_t>& v, std::int64_t row,
+               std::int64_t cols, std::int64_t col) -> std::uint32_t& {
+    return v[static_cast<std::size_t>(row * cols + col)];
+  };
+  if (s.k >= 2) {
+    // ±inf in B's k-row 0 under ±0.0 in every A row: only the zero-skip
+    // keeps the NaN of 0 * inf out of the accumulator.
+    for (std::int64_t i = 0; i < s.m; ++i) {
+      at(ai, i, s.k, 0) = (i % 2 == 0) ? kPosZero : kNegZero;
+    }
+    for (std::int64_t j = 0; j < s.n; j += 2) {
+      at(bi, 0, s.n, j) = (j % 4 == 0) ? kPosInf : kNegInf;
+    }
+  }
+  // NaNs with distinct payloads in A and B that never meet.  A's NaN sits
+  // in the last row at the last k, over finite B entries.  B's NaNs sit one
+  // k-row earlier, where that A row holds ±0.0 and the other rows do not:
+  // the last row must come out with A's payload, the others with B's.
+  // Where two NaNs meet, the surviving payload depends on the operand
+  // order the compiler picked for that loop; the tables have never agreed
+  // on it, so the contract leaves it open.
+  const std::int64_t i_nan = s.m - 1;
+  const std::int64_t p_nan = s.k - 1;
+  at(ai, i_nan, s.k, p_nan) = kNan;
+  if (s.k >= 3) {
+    for (std::int64_t i = 0; i < s.m; ++i) {
+      at(ai, i, s.k, p_nan - 1) =
+          i == i_nan ? ((s.k % 2 == 0) ? kPosZero : kNegZero) : kFirstRandom;
+    }
+    for (std::int64_t j = 0; j < s.n; j += 3) {
+      at(bi, p_nan - 1, s.n, j) = kNan;
+    }
+  }
+  std::vector<std::uint32_t> bti(bi.size());
+  for (std::int64_t p = 0; p < s.k; ++p) {
+    for (std::int64_t j = 0; j < s.n; ++j) {
+      at(bti, j, s.k, p) = at(bi, p, s.n, j);
+    }
+  }
+  auto decode = [](const std::vector<std::uint32_t>& idx,
+                   const std::vector<float>& lut) {
+    std::vector<float> out(idx.size());
+    for (std::size_t i = 0; i < idx.size(); ++i) out[i] = lut[idx[i]];
+    return out;
+  };
+  c.a = decode(ai, c.lut_a);
+  c.b = decode(bi, c.lut_b);
+  c.bt = decode(bti, c.lut_b);
+  c.a_codes = pack(ai, bits, offset);
+  c.b_codes = pack(bi, bits, offset);
+  c.bt_codes = pack(bti, bits, offset);
+  c.bias.resize(static_cast<std::size_t>(s.n));
+  fill_adversarial(c.bias.data(), s.n, seed + 3);
+  return c;
+}
+
+/// The contract, as a plain loop over the decoded operands.
+template <typename Mul>
+std::vector<float> naive_gemm(const Case& c, const float* bias, Mul mul) {
+  std::vector<float> out(static_cast<std::size_t>(c.m * c.n));
+  for (std::int64_t i = 0; i < c.m; ++i) {
+    for (std::int64_t j = 0; j < c.n; ++j) {
+      double acc = bias != nullptr ? static_cast<double>(bias[j]) : 0.0;
+      for (std::int64_t p = 0; p < c.k; ++p) {
+        const double av = c.a[static_cast<std::size_t>(i * c.k + p)];
+        if (av == 0.0) continue;
+        const double bv = c.b[static_cast<std::size_t>(p * c.n + j)];
+        const double product = mul(av, bv);
+        acc = acc + product;
+      }
+      out[static_cast<std::size_t>(i * c.n + j)] = static_cast<float>(acc);
+    }
+  }
+  return out;
+}
+
+/// An operand combination: A float or coded, B float or coded, B stored
+/// [k,n] or transposed [n,k].
+struct Form {
+  const char* name;
+  bool a_coded, b_coded, b_t;
+};
+
+constexpr Form kForms[] = {
+    {"float x float", false, false, false},
+    {"float x float^T", false, false, true},
+    {"codes x float", true, false, false},
+    {"float x codes^T", false, true, true},
+    {"codes x codes", true, true, false},
+    {"codes x codes^T", true, true, true},
+};
+
+/// GemmArgs for one form over the case's operands.
+kernels::GemmArgs args_for(const Form& f, const Case& c, const float* bias,
+                           float* out) {
+  const kernels::Operand a =
+      f.a_coded ? kernels::Operand{nullptr, c.view(c.a_codes, c.lut_a)}
+                : kernels::Operand{c.a.data(), {}};
+  const kernels::Operand b =
+      f.b_coded
+          ? kernels::Operand{nullptr,
+                             c.view(f.b_t ? c.bt_codes : c.b_codes, c.lut_b)}
+          : kernels::Operand{f.b_t ? c.bt.data() : c.b.data(), {}};
+  return {a, b, f.b_t, bias, out, nullptr, c.k, c.n};
+}
+
+/// Run `run(out, r0, r1)` over the full row range and over uneven splits,
+/// starting from a poisoned buffer each time, and require both to equal
+/// `want` bit-for-bit.
+template <typename Run>
+void expect_matches(const std::vector<float>& want, const Case& c, Run run,
+                    const std::string& what) {
+  const std::int64_t cuts[] = {0, 1, c.m / 2, c.m};
+  std::vector<float> got(want.size());
+  for (const bool split : {false, true}) {
+    std::fill(got.begin(), got.end(), std::bit_cast<float>(0xFFBADBADU));
+    if (split) {
+      for (std::size_t ci = 0; ci + 1 < std::size(cuts); ++ci) {
+        if (cuts[ci] < cuts[ci + 1]) run(got.data(), cuts[ci], cuts[ci + 1]);
+      }
+    } else {
+      run(got.data(), 0, c.m);
+    }
+    EXPECT_TRUE(bitwise_equal(want.data(), got.data(), c.m * c.n))
+        << what << (split ? " split rows" : " full rows");
+  }
+}
+
+}  // namespace oracle
+
+TEST_F(GemmBitEquality, EveryOperandFormMatchesNaiveLoop) {
+  const auto exact = [](double x, double y) { return x * y; };
+  for (const int bits : {4, 8, 16}) {
+    for (const std::int64_t offset : {std::int64_t{0}, std::int64_t{3}}) {
+      for (const GemmShape& s : kShapes) {
+        const oracle::Case c = oracle::make_case(
+            s, bits, offset, 1000 + static_cast<std::uint64_t>(bits * s.k));
+        for (const float* bias : {static_cast<const float*>(nullptr),
+                                  c.bias.data()}) {
+          const std::vector<float> want = oracle::naive_gemm(c, bias, exact);
+          for (const auto* t : tables_) {
+            for (const oracle::Form& f : oracle::kForms) {
+              oracle::expect_matches(
+                  want, c,
+                  [&](float* out, std::int64_t r0, std::int64_t r1) {
+                    EXPECT_TRUE(t->gemm(oracle::args_for(f, c, bias, out),
+                                        r0, r1));
+                  },
+                  std::string(t->name) + " " + f.name + " bits=" +
+                      std::to_string(bits) + " offset=" +
+                      std::to_string(offset) + " " + std::to_string(s.m) +
+                      "x" + std::to_string(s.k) + "x" + std::to_string(s.n) +
+                      (bias != nullptr ? " +bias" : ""));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- quantization ----------------------------------------------------------
 
 class QuantizeBitEquality : public KernelTablesTest {
@@ -548,11 +804,12 @@ TEST(PlamGemm, DotProductErrorWithinLinearBound) {
     std::vector<float> c_ref(cn), c_plam(cn);
     for (const float* bp : {static_cast<const float*>(nullptr),
                             static_cast<const float*>(bias.data())}) {
-      kernels::scalar_kernels().gemm_codes_nt_rows(a.data(), view, bp,
-                                                   c_ref.data(), nullptr, 0,
-                                                   s.m, s.k, s.n);
-      ASSERT_TRUE(kernels::plam::gemm_codes_nt_rows(
-          a.data(), view, bp, c_plam.data(), nullptr, 0, s.m, s.k, s.n));
+      const kernels::Operand a_op{a.data(), {}};
+      const kernels::Operand b_op{nullptr, view};
+      ASSERT_TRUE(kernels::scalar_kernels().gemm(
+          {a_op, b_op, true, bp, c_ref.data(), nullptr, s.k, s.n}, 0, s.m));
+      ASSERT_TRUE(kernels::plam::gemm(
+          {a_op, b_op, true, bp, c_plam.data(), nullptr, s.k, s.n}, 0, s.m));
       for (std::int64_t i = 0; i < s.m; ++i) {
         for (std::int64_t j = 0; j < s.n; ++j) {
           double sumabs = 0.0;
@@ -598,11 +855,51 @@ TEST(PlamGemm, CodedAOperandMatchesDecodedAOperand) {
 
   const std::size_t cn = static_cast<std::size_t>(s.m * s.n);
   std::vector<float> c_float_a(cn), c_coded_a(cn);
-  ASSERT_TRUE(kernels::plam::gemm_codes_nt_rows(
-      a_dec.data(), bv, nullptr, c_float_a.data(), nullptr, 0, s.m, s.k, s.n));
-  ASSERT_TRUE(kernels::plam::gemm_codes_codes_nt_rows(
-      av, bv, nullptr, c_coded_a.data(), nullptr, 0, s.m, s.k, s.n));
+  ASSERT_TRUE(kernels::plam::gemm(
+      {{a_dec.data(), {}}, {nullptr, bv}, true, nullptr, c_float_a.data(),
+       nullptr, s.k, s.n},
+      0, s.m));
+  ASSERT_TRUE(kernels::plam::gemm(
+      {{nullptr, av}, {nullptr, bv}, true, nullptr, c_coded_a.data(), nullptr,
+       s.k, s.n},
+      0, s.m));
   EXPECT_TRUE(bitwise_equal(c_float_a.data(), c_coded_a.data(), s.m * s.n));
+}
+
+TEST(PlamGemm, MatchesNaiveMitchellLoop) {
+  // The bound tests above leave PLAM's bits free; this pins them: the
+  // oracle loop with mitchell_mul as its multiply, over both linear-layout
+  // forms LP_APPROX=plam reaches.
+  const auto mitchell = [](double x, double y) {
+    return kernels::plam::mitchell_mul(x, y);
+  };
+  for (const int bits : {4, 8, 16}) {
+    for (const std::int64_t offset : {std::int64_t{0}, std::int64_t{3}}) {
+      for (const GemmShape& s : kShapes) {
+        const oracle::Case c = oracle::make_case(
+            s, bits, offset, 2000 + static_cast<std::uint64_t>(bits * s.k));
+        for (const float* bias : {static_cast<const float*>(nullptr),
+                                  c.bias.data()}) {
+          const std::vector<float> want =
+              oracle::naive_gemm(c, bias, mitchell);
+          for (const oracle::Form& f : oracle::kForms) {
+            if (!f.b_coded || !f.b_t) continue;
+            oracle::expect_matches(
+                want, c,
+                [&](float* out, std::int64_t r0, std::int64_t r1) {
+                  EXPECT_TRUE(kernels::plam::gemm(
+                      oracle::args_for(f, c, bias, out), r0, r1));
+                },
+                std::string("plam ") + f.name + " bits=" +
+                    std::to_string(bits) + " offset=" +
+                    std::to_string(offset) + " " + std::to_string(s.m) + "x" +
+                    std::to_string(s.k) + "x" + std::to_string(s.n) +
+                    (bias != nullptr ? " +bias" : ""));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(PlamGemm, CrossValidatesAgainstLpaDatapathSim) {
