@@ -50,17 +50,19 @@ int main() {
   const double lp_shift_peak = decimal_accuracy_at(lp_shifted, std::exp2(-6));
   const double af_in = decimal_accuracy_at(af, 1.0);
   const double af_out = decimal_accuracy_at(af, std::exp2(14));
+  const bool tapered = lp_at_center > lp_at_tail;
+  const bool movable = std::fabs(lp_shift_peak - lp_at_center) < 0.2;
+  const bool af_flat = af_in > 0.8 && af_out < 0.3;
   std::cout << "\nshape checks (paper Fig. 1(b)):\n"
             << "  tapered:   LP acc at 2^0 (" << Table::num(lp_at_center, 2)
             << ") > at 2^-12 (" << Table::num(lp_at_tail, 2) << ")  "
-            << (lp_at_center > lp_at_tail ? "[OK]" : "[MISMATCH]") << '\n'
+            << (tapered ? "[OK]" : "[MISMATCH]") << '\n'
             << "  movable:   LP<sf=6> acc at 2^-6 ("
             << Table::num(lp_shift_peak, 2) << ") ~ LP<sf=0> at 2^0  "
-            << (std::fabs(lp_shift_peak - lp_at_center) < 0.2 ? "[OK]"
-                                                              : "[MISMATCH]")
-            << '\n'
+            << (movable ? "[OK]" : "[MISMATCH]") << '\n'
             << "  AF flat:   in-range acc " << Table::num(af_in, 2)
             << ", out-of-range " << Table::num(af_out, 2) << "  "
-            << (af_in > 0.8 && af_out < 0.3 ? "[OK]" : "[MISMATCH]") << '\n';
-  return 0;
+            << (af_flat ? "[OK]" : "[MISMATCH]") << '\n';
+  // Non-zero on a mismatch, so the claims gate (ctest claims_fig1b) fails.
+  return tapered && movable && af_flat ? 0 : 1;
 }

@@ -139,5 +139,6 @@ int main() {
   std::cout << "\nshape check (paper Fig. 5(b)): LP has the lowest average "
                "RMSE across layers "
             << (best == 0 ? "[OK: LP wins]" : "[MISMATCH]") << '\n';
-  return 0;
+  // Non-zero on a mismatch, so the claims gate (ctest claims_fig5b) fails.
+  return best == 0 ? 0 : 1;
 }

@@ -266,10 +266,10 @@ void BM_GemmKernel(benchmark::State& state, const char* tier) {
   const auto packed = PackedCodes::pack(w, w_shape, fmt, lut);
   std::vector<float> wq(w.size());
   for (std::size_t i = 0; i < wq.size(); ++i) {
-    wq[i] = packed->decode_at(static_cast<std::int64_t>(i));
+    wq[i] = packed.decode_at(static_cast<std::int64_t>(i));
   }
   const kernels::Operand weights =
-      coded ? kernels::Operand{nullptr, packed->view()}
+      coded ? kernels::Operand{nullptr, packed.view()}
             : kernels::Operand{wq.data(), {}};
   const kernels::Operand acts{x.data(), {}};
   const kernels::GemmArgs args =
@@ -278,15 +278,15 @@ void BM_GemmKernel(benchmark::State& state, const char* tier) {
              : kernels::GemmArgs{weights, acts, false, nullptr, c.data(),
                                  nullptr, k, n};
   for (auto _ : state) {
-    (void)kt->gemm(args, 0, m);
+    kt->gemm(args, 0, m);
     benchmark::DoNotOptimize(c.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * k * n);
   state.counters["weight_bytes_packed"] =
-      static_cast<double>(packed->payload_bytes());
+      static_cast<double>(packed.payload_bytes());
   state.counters["weight_bytes_float"] =
-      static_cast<double>(packed->logical_bytes());
+      static_cast<double>(packed.logical_bytes());
 }
 
 void gemm_kernel_args(benchmark::internal::Benchmark* b) {

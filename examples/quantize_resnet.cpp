@@ -93,10 +93,8 @@ int main(int argc, char** argv) {
       cache.bytes > 0 ? static_cast<double>(cache.logical_bytes) /
                             static_cast<double>(cache.bytes)
                       : 0.0;
-  std::printf("\nruntime: %zu cached weight payloads (%zu packed), "
-              "%llu quantize misses\n",
-              cache.entries, cache.packed_entries,
-              static_cast<unsigned long long>(cache.misses));
+  std::printf("\nruntime: %zu cached weight payloads, %llu quantize misses\n",
+              cache.entries, static_cast<unsigned long long>(cache.misses));
   std::printf("  cache bytes     : %.2f MB physical (codes + %.3f MB weight "
               "LUTs + %.3f MB act LUTs) vs %.2f MB decoded-equivalent — "
               "%.1fx compression\n",

@@ -1,8 +1,8 @@
 #include "core/packed_codes.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <limits>
 
 #include "core/number_format.h"
 #include "core/quant_index.h"
@@ -14,7 +14,9 @@ namespace lp {
 std::shared_ptr<const DecodeTable> build_decode_table(const NumberFormat& fmt) {
   if (!fmt.quantize_codes_batch({}, {})) return nullptr;  // no code path
   std::vector<float> table = fmt.decode_table();
-  if (table.empty() || table.size() > PackedCodes::kMaxLutSize) return nullptr;
+  if (table.empty() || table.size() >= PackedCodes::kMaxLutSize) return nullptr;
+  table.reserve(table.size() + 1);  // not 2x: the cache keeps every table
+  table.push_back(std::numeric_limits<float>::quiet_NaN());
   return std::make_shared<const DecodeTable>(std::move(table));
 }
 
@@ -68,14 +70,16 @@ void PackedCodes::decode(std::span<float> out) const {
                });
 }
 
-std::optional<PackedCodes> PackedCodes::pack(
-    std::span<const float> data, std::vector<std::int64_t> shape,
-    const NumberFormat& fmt, std::shared_ptr<const DecodeTable> lut,
-    int min_bits) {
-  if (lut == nullptr || lut->empty() || lut->size() > kMaxLutSize) {
-    return std::nullopt;
-  }
-  if (!fmt.quantize_codes_batch({}, {})) return std::nullopt;
+PackedCodes PackedCodes::pack(std::span<const float> data,
+                              std::vector<std::int64_t> shape,
+                              const NumberFormat& fmt,
+                              std::shared_ptr<const DecodeTable> lut,
+                              int min_bits) {
+  LP_CHECK_MSG(lut != nullptr && !lut->empty() &&
+                   lut->size() <= kMaxLutSize && std::isnan(lut->back()) &&
+                   fmt.quantize_codes_batch({}, {}),
+               "pack() needs a format with a code path and its "
+               "build_decode_table()");
   std::int64_t numel = 1;
   for (const std::int64_t d : shape) numel *= d;
   LP_CHECK_MSG(numel == static_cast<std::int64_t>(data.size()),
@@ -83,13 +87,12 @@ std::optional<PackedCodes> PackedCodes::pack(
                                                    << data.size());
 
   // Nearest-value indices, chunk-parallel (fixed boundaries, disjoint
-  // writes — identical for any pool size).  A non-finite element makes the
-  // tensor unpackable: the float path quantizes it to NaN, which no code
-  // index can represent.
+  // writes — identical for any pool size).  A non-finite element takes
+  // the NaN code, the LUT's last entry.
   const std::size_t n = data.size();
   std::vector<std::uint32_t> idx(n);
-  std::atomic<bool> packable{true};
   const std::uint32_t lut_size = static_cast<std::uint32_t>(lut->size());
+  const std::uint32_t nan_code = lut_size - 1;
   constexpr std::size_t kChunk = QuantIndex::kQuantChunk;
   ThreadPool& pool = default_pool();
   const std::int64_t chunks =
@@ -99,14 +102,10 @@ std::optional<PackedCodes> PackedCodes::pack(
     const std::size_t len = std::min(kChunk, n - begin);
     const std::span<std::uint32_t> out(idx.data() + begin, len);
     (void)fmt.quantize_codes_batch(data.subspan(begin, len), out);
-    for (const std::uint32_t v : out) {
-      if (v >= lut_size) {
-        packable.store(false, std::memory_order_relaxed);
-        return;
-      }
+    for (std::uint32_t& v : out) {
+      if (v == kernels::kInvalidIndex) v = nan_code;
     }
   });
-  if (!packable.load(std::memory_order_relaxed)) return std::nullopt;
 
   PackedCodes out;
   out.shape_ = std::move(shape);

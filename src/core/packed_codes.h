@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -34,23 +33,25 @@ using DecodeTable = std::vector<float>;
 
 class PackedCodes {
  public:
-  /// Largest decode table the packed path serves (16-bit codes); wider
-  /// formats stay on the float fallback.
+  /// Largest decode table the packed path serves (16-bit codes), the NaN
+  /// entry included.
   static constexpr std::size_t kMaxLutSize = 1U << 16;
 
-  /// Quantize `data` (logical shape `shape`) into packed codes.  Returns
-  /// nullopt — callers fall back to the float path — when the format has
-  /// no batched code path, the LUT is missing/too large, or any element
-  /// is non-finite (the float path quantizes those to NaN, which no code
-  /// can represent).  Runs chunk-parallel on the default pool; all chunk
-  /// writes are disjoint, so the result is identical for any pool size.
-  /// `min_bits` floors the code width: activation streams pass 8 so codes
-  /// stay byte-aligned and parallel writers never share a byte (weights
-  /// keep the default 0 = narrowest width that fits the LUT).
-  [[nodiscard]] static std::optional<PackedCodes> pack(
-      std::span<const float> data, std::vector<std::int64_t> shape,
-      const NumberFormat& fmt, std::shared_ptr<const DecodeTable> lut,
-      int min_bits = 0);
+  /// Quantize `data` (logical shape `shape`) into packed codes.  A
+  /// non-finite element gets the NaN code (lut.size() - 1), which decodes
+  /// to the quiet NaN the float path stores for it, so every tensor packs.
+  /// `lut` must be the format's build_decode_table() (non-null: the format
+  /// has a batched code path and a table the packed path serves).  Runs
+  /// chunk-parallel on the default pool; all chunk writes are disjoint, so
+  /// the result is identical for any pool size.  `min_bits` floors the
+  /// code width: activation streams pass 8 so codes stay byte-aligned and
+  /// parallel writers never share a byte (weights keep the default 0 =
+  /// narrowest width that fits the LUT).
+  [[nodiscard]] static PackedCodes pack(std::span<const float> data,
+                                        std::vector<std::int64_t> shape,
+                                        const NumberFormat& fmt,
+                                        std::shared_ptr<const DecodeTable> lut,
+                                        int min_bits = 0);
 
   /// Code width (4, 8, or 16) pack() would choose for a LUT of that size,
   /// floored at `min_bits`.  Callers sizing kernel-written code streams
@@ -131,9 +132,11 @@ class PackedCodes {
   std::shared_ptr<const DecodeTable> lut_;
 };
 
-/// Build the shared decode LUT for a format, or null when the format
-/// cannot serve the packed path (no batched code emission, or a value
-/// table beyond PackedCodes::kMaxLutSize).
+/// Build the shared decode LUT for a format: its values in code order,
+/// then one std::numeric_limits<float>::quiet_NaN() entry — the code every
+/// non-finite element encodes to.  Null when the format cannot serve the
+/// packed path (no batched code emission, or a table beyond
+/// PackedCodes::kMaxLutSize).
 [[nodiscard]] std::shared_ptr<const DecodeTable> build_decode_table(
     const NumberFormat& fmt);
 

@@ -144,9 +144,10 @@ inline constexpr int kActGelu = 3;
 /// boundary search the quantize kernels run, so the code indexes exactly
 /// the float the unfused path would have stored — and the code is written
 /// to `codes` at the element's output position.  `bits` is 8 or 16
-/// (byte-aligned; see packed_code_write).  Non-finite outputs have no
-/// code: the kernel reports them by returning false and the caller re-runs
-/// that edge on the float path.
+/// (byte-aligned; see packed_code_write).  A non-finite activated output
+/// gets the NaN code, qidx.num_keys + 1: the entry the decode table holds
+/// after the num_keys + 1 values, decoding to the quiet NaN the quantize
+/// kernels store for it.
 struct ActEncode {
   QuantIndexView qidx;
   std::uint8_t* codes = nullptr;  ///< element 0 of the output code stream
@@ -188,10 +189,8 @@ struct GemmArgs {
 
 /// GEMM row-block kernel: rows [row_begin, row_end) of `args`.  Row blocks
 /// write disjoint rows, so the thread pool may split [0, m) freely without
-/// affecting results.  Returns false only when the epilogue met a
-/// non-finite output (no code represents it; the caller re-runs that edge
-/// on the float path).
-using GemmFn = bool (*)(const GemmArgs& args, std::int64_t row_begin,
+/// affecting results.
+using GemmFn = void (*)(const GemmArgs& args, std::int64_t row_begin,
                         std::int64_t row_end);
 
 /// Quantize xs[0..n) in place against the index view (non-finite inputs
@@ -220,15 +219,15 @@ struct KernelTable {
   void gemm_rows(const float* a, const float* b, const float* bias, float* c,
                  std::int64_t row_begin, std::int64_t row_end, std::int64_t k,
                  std::int64_t n) const {
-    (void)gemm({{a, {}}, {b, {}}, false, bias, c, nullptr, k, n}, row_begin,
-               row_end);
+    gemm({{a, {}}, {b, {}}, false, bias, c, nullptr, k, n}, row_begin,
+         row_end);
   }
   /// Float A [m,k] x float B^T, B held as [n,k].
   void gemm_nt_rows(const float* a, const float* b, const float* bias,
                     float* c, std::int64_t row_begin, std::int64_t row_end,
                     std::int64_t k, std::int64_t n) const {
-    (void)gemm({{a, {}}, {b, {}}, true, bias, c, nullptr, k, n}, row_begin,
-               row_end);
+    gemm({{a, {}}, {b, {}}, true, bias, c, nullptr, k, n}, row_begin,
+         row_end);
   }
   /// Coded A [m,k] x coded B [k,n] (the conv layout).
   void gemm_codes_codes_rows(const PackedCodesView& a,
@@ -236,18 +235,18 @@ struct KernelTable {
                              float* c, std::int64_t row_begin,
                              std::int64_t row_end, std::int64_t k,
                              std::int64_t n) const {
-    (void)gemm({{nullptr, a}, {nullptr, b}, false, bias, c, nullptr, k, n},
-               row_begin, row_end);
+    gemm({{nullptr, a}, {nullptr, b}, false, bias, c, nullptr, k, n},
+         row_begin, row_end);
   }
   /// Coded A [m,k] x coded B^T, B held as [n,k] (the linear layout), with
   /// the optional fused epilogue.
-  bool gemm_codes_codes_nt_rows(const PackedCodesView& a,
+  void gemm_codes_codes_nt_rows(const PackedCodesView& a,
                                 const PackedCodesView& b, const float* bias,
                                 float* c, const ActEncode* ep,
                                 std::int64_t row_begin, std::int64_t row_end,
                                 std::int64_t k, std::int64_t n) const {
-    return gemm({{nullptr, a}, {nullptr, b}, true, bias, c, ep, k, n},
-                row_begin, row_end);
+    gemm({{nullptr, a}, {nullptr, b}, true, bias, c, ep, k, n}, row_begin,
+         row_end);
   }
 };
 
@@ -341,7 +340,7 @@ namespace plam {
 /// (bias seed, ascending-k double accumulation, zero-skip, epilogue), same
 /// body as the scalar table with only the multiply swapped.  Reached only
 /// from the coded linear ops (matmul_nt_codes*) under LP_APPROX=plam.
-bool gemm(const GemmArgs& args, std::int64_t row_begin, std::int64_t row_end);
+void gemm(const GemmArgs& args, std::int64_t row_begin, std::int64_t row_end);
 
 }  // namespace plam
 

@@ -183,10 +183,10 @@ void pack_panel(const GemmArgs& g, std::int64_t j, float* panel,
   }
 }
 
-bool gemm_avx2(const GemmArgs& g, std::int64_t row_begin,
+void gemm_avx2(const GemmArgs& g, std::int64_t row_begin,
                std::int64_t row_end) {
   const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
+  if (rows <= 0) return;
   const std::int64_t k = g.k;
   const std::int64_t n = g.n;
   std::vector<float> a_block;
@@ -239,8 +239,9 @@ bool gemm_avx2(const GemmArgs& g, std::int64_t row_begin,
     edge.c = c;
     detail::gemm_ref(edge, 0, rows, full_cols, n);
   }
-  return g.ep == nullptr ||
-         detail::encode_scratch_block(*g.ep, c, row_begin * n, rows * n);
+  if (g.ep != nullptr) {
+    detail::encode_scratch_block(*g.ep, c, row_begin * n, rows * n);
+  }
 }
 
 // ---------------------------------------------------------------------------

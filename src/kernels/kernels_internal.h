@@ -38,34 +38,27 @@ struct DepthwiseShape {
 void depthwise_conv_plane(const float* x, const float* wts,
                           const DepthwiseShape& s, float* out);
 
-/// Encode one finished output element for the fused epilogue: apply
-/// ep.act, nearest-index through ep.qidx, write the code at element e of
-/// ep.codes.  Returns false (and writes nothing) when the activated value
-/// is non-finite.  Out-of-line in the scalar TU so every kernel table —
-/// and the conv scatter in tensor/ops.cpp — shares one compiled encoder.
-bool encode_elem(const ActEncode& ep, float v, std::int64_t e);
-
 /// Fused epilogue over a finished row block: apply ep.act to src[0..count)
 /// (staged in thread-local scratch), batch the nearest-index search
 /// through the dispatched SIMD kernel — every table's search is pinned
 /// bit-identical, so the choice affects throughput, never codes — and
-/// write codes at output elements [elem_begin, elem_begin + count).
-/// Returns false when any element was non-finite (the rest still encode,
-/// but the caller discards the stream and re-runs the edge in float).
-/// Element-for-element identical to encode_elem over src.
-bool encode_row_block(const ActEncode& ep, const float* src,
+/// write codes at output elements [elem_begin, elem_begin + count), the
+/// NaN code for a non-finite activated value.  Out-of-line in the scalar
+/// TU so every kernel table — and the conv scatter in tensor/ops.cpp —
+/// shares one compiled encoder.
+void encode_row_block(const ActEncode& ep, const float* src,
                       std::int64_t elem_begin, std::int64_t count);
 
 /// encode_row_block for callers that own `scratch` (the GEMM bodies'
 /// fused epilogue): applies ep.act in place, skipping the staging copy.
-bool encode_scratch_block(const ActEncode& ep, float* scratch,
+void encode_scratch_block(const ActEncode& ep, float* scratch,
                           std::int64_t elem_begin, std::int64_t count);
 
 /// encode_scratch_block for strided destinations (the conv scatter):
 /// scratch[0..count) encodes as count/run runs of `run` codes, run r
 /// landing at elements [e0 + r*stride, e0 + r*stride + run).  One act +
 /// nearest-index batch covers the whole block; only the code writes jump.
-bool encode_strided_block(const ActEncode& ep, float* scratch,
+void encode_strided_block(const ActEncode& ep, float* scratch,
                           std::int64_t count, std::int64_t e0,
                           std::int64_t stride, std::int64_t run);
 

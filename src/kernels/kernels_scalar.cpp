@@ -160,18 +160,17 @@ void gemm_block(const GemmArgs& g, std::int64_t row_begin,
 /// unfused path's tensor would hold), then act + encode, so only codes
 /// leave the kernel.
 template <typename Mul>
-bool gemm_body(const GemmArgs& g, std::int64_t row_begin,
+void gemm_body(const GemmArgs& g, std::int64_t row_begin,
                std::int64_t row_end) {
   const std::int64_t rows = row_end - row_begin;
-  if (rows <= 0) return true;
+  if (rows <= 0) return;
   if (g.ep == nullptr) {
     gemm_block<Mul>(g, row_begin, row_end, 0, g.n, g.c + row_begin * g.n);
-    return true;
+    return;
   }
   float* const staged = detail::fused_scratch(rows * g.n);
   gemm_block<Mul>(g, row_begin, row_end, 0, g.n, staged);
-  return detail::encode_scratch_block(*g.ep, staged, row_begin * g.n,
-                                      rows * g.n);
+  detail::encode_scratch_block(*g.ep, staged, row_begin * g.n, rows * g.n);
 }
 
 }  // namespace
@@ -231,15 +230,6 @@ void depthwise_conv_plane(const float* x, const float* wts,
   }
 }
 
-bool encode_elem(const ActEncode& ep, float v, std::int64_t e) {
-  const float y = act_eval(v, ep.act);
-  const auto bits = std::bit_cast<std::uint32_t>(y);
-  if (!quant::is_finite_bits(bits)) return false;
-  const std::size_t idx = qindex_lookup(ep.qidx, quant::ordered_key(bits));
-  packed_code_write(ep.codes, ep.bits, e, static_cast<std::uint32_t>(idx));
-  return true;
-}
-
 namespace {
 
 // act_eval with the selector hoisted out of the loop: a compile-time act
@@ -276,28 +266,26 @@ const std::uint32_t* activated_indices(const ActEncode& ep, const float* xs,
   return idx.data();
 }
 
-bool write_codes(const ActEncode& ep, const std::uint32_t* idx,
+// A non-finite value (kInvalidIndex) writes the NaN code: the decode
+// table's entry after the qidx's num_keys + 1 values.
+void write_codes(const ActEncode& ep, const std::uint32_t* idx,
                  std::int64_t elem_begin, std::int64_t count) {
-  bool ok = true;
+  const auto nan_code = static_cast<std::uint32_t>(ep.qidx.num_keys + 1);
   for (std::int64_t i = 0; i < count; ++i) {
     const std::uint32_t ix = idx[i];
-    if (ix == kInvalidIndex) {
-      ok = false;  // non-finite: no code, matching encode_elem
-      continue;
-    }
-    packed_code_write(ep.codes, ep.bits, elem_begin + i, ix);
+    packed_code_write(ep.codes, ep.bits, elem_begin + i,
+                      ix == kInvalidIndex ? nan_code : ix);
   }
-  return ok;
 }
 
-bool encode_activated_block(const ActEncode& ep, const float* xs,
+void encode_activated_block(const ActEncode& ep, const float* xs,
                             std::int64_t elem_begin, std::int64_t count) {
-  return write_codes(ep, activated_indices(ep, xs, count), elem_begin, count);
+  write_codes(ep, activated_indices(ep, xs, count), elem_begin, count);
 }
 
 }  // namespace
 
-bool encode_row_block(const ActEncode& ep, const float* src,
+void encode_row_block(const ActEncode& ep, const float* src,
                       std::int64_t elem_begin, std::int64_t count) {
   // src may be a caller's live tensor, not scratch (encode_acts passes
   // one), so the activated values stage in thread-local scratch.
@@ -308,29 +296,27 @@ bool encode_row_block(const ActEncode& ep, const float* src,
     act_apply_dyn(ep.act, src, act_buf.data(), count);
     xs = act_buf.data();
   }
-  return encode_activated_block(ep, xs, elem_begin, count);
+  encode_activated_block(ep, xs, elem_begin, count);
 }
 
-bool encode_scratch_block(const ActEncode& ep, float* scratch,
+void encode_scratch_block(const ActEncode& ep, float* scratch,
                           std::int64_t elem_begin, std::int64_t count) {
   if (ep.act != kActNone) {
     act_apply_dyn(ep.act, scratch, scratch, count);
   }
-  return encode_activated_block(ep, scratch, elem_begin, count);
+  encode_activated_block(ep, scratch, elem_begin, count);
 }
 
-bool encode_strided_block(const ActEncode& ep, float* scratch,
+void encode_strided_block(const ActEncode& ep, float* scratch,
                           std::int64_t count, std::int64_t e0,
                           std::int64_t stride, std::int64_t run) {
   if (ep.act != kActNone) {
     act_apply_dyn(ep.act, scratch, scratch, count);
   }
   const std::uint32_t* idx = activated_indices(ep, scratch, count);
-  bool ok = true;
   for (std::int64_t r = 0; r * run < count; ++r) {
-    ok = write_codes(ep, idx + r * run, e0 + r * stride, run) && ok;
+    write_codes(ep, idx + r * run, e0 + r * stride, run);
   }
-  return ok;
 }
 
 float* fused_scratch(std::int64_t count) {
@@ -379,8 +365,8 @@ void quantize_apply(const QuantIndexView& v, float* xs,
 
 namespace plam {
 
-bool gemm(const GemmArgs& args, std::int64_t row_begin, std::int64_t row_end) {
-  return gemm_body<MitchellMul>(args, row_begin, row_end);
+void gemm(const GemmArgs& args, std::int64_t row_begin, std::int64_t row_end) {
+  gemm_body<MitchellMul>(args, row_begin, row_end);
 }
 
 }  // namespace plam

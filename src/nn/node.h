@@ -121,9 +121,10 @@ struct SlotPlan {
   /// instead of expanding the weights to float32 — bit-identical output,
   /// 4-8x fewer weight bytes streamed.
   const PackedCodes* codes = nullptr;
-  /// Pre-quantized float weights, used when `codes` is null (slots the
-  /// packed path cannot serve, per-channel quantizers).  Both null = the
-  /// node's FP weights.  Either way the shape is the FP weights' shape.
+  /// Pre-quantized float weights, used when `codes` is null (the
+  /// QuantSpec baselines of forward_quantized, per-channel quantizers).
+  /// Both null = the node's FP weights.  Either way the shape is the FP
+  /// weights' shape.
   const Tensor* weight = nullptr;
   /// Activation format quantizing the slot's output (null = none).
   const NumberFormat* act = nullptr;

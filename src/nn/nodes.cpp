@@ -72,18 +72,16 @@ void count_float(const RunCtx& ctx, const Tensor& out) {
 }
 
 /// Post-GEMM tail for a weighted node holding a float result with the
-/// nonlinearity already applied: on a coded edge, encode it (the decoded
-/// stream equals the quantized floats); on encode failure (non-finite
-/// elements) or a float edge, quantize in place through `fmt` — the two
-/// tails produce value-identical activations.
+/// nonlinearity already applied: on a coded edge (a float-weight slot of
+/// a hand-built plan), encode it — the decoded stream equals the
+/// quantized floats; on a float edge, quantize in place through `fmt`.
 NodeValue finish_act(const RunCtx& ctx, const ActCoding* coding,
                      const NumberFormat* fmt, Tensor out) {
   if (coding != nullptr) {
-    auto enc = encode_acts(out, encode_spec(*coding, kernels::kActNone));
-    if (enc.has_value()) {
-      count_coded(ctx, *enc);
-      return NodeValue(std::move(*enc));
-    }
+    PackedCodes enc =
+        *encode_acts(out, encode_spec(*coding, kernels::kActNone));
+    count_coded(ctx, enc);
+    return NodeValue(std::move(enc));
   }
   quantize_activations(out, fmt);
   capture_pooled(ctx, out);
@@ -95,7 +93,7 @@ NodeValue finish_act(const RunCtx& ctx, const ActCoding* coding,
 
 const Tensor& NodeValue::dense() const {
   if (!has_dense_) {
-    LP_CHECK_MSG(codes_.has_value(), "dense() on an empty NodeValue");
+    LP_CHECK_MSG(codes_, "dense() on an empty NodeValue");
     Tensor t(codes_->shape());
     codes_->decode(t.data());
     dense_ = std::move(t);
@@ -183,17 +181,15 @@ NodeValue Conv2dNode::run(std::span<const NodeValue* const> x,
   // patches gather as codes or from a dense input.
   if (p.codes != nullptr && coding != nullptr) {
     const ActEncodeSpec enc = encode_spec(*coding, act_kernel(act_));
-    auto out = coded_in
-                   ? conv2d_codes_codes_enc(*icodes, *p.codes, bias, spec_,
-                                            static_cast<std::uint32_t>(zc), enc)
-                   : conv2d_codes_enc(in.dense(), *p.codes, bias, spec_, enc);
-    if (out.has_value()) {
-      count_coded(ctx, *out);
-      return NodeValue(std::move(*out));
-    }
+    PackedCodes out =
+        coded_in ? conv2d_codes_codes_enc(*icodes, *p.codes, bias, spec_,
+                                          static_cast<std::uint32_t>(zc), enc)
+                 : conv2d_codes_enc(in.dense(), *p.codes, bias, spec_, enc);
+    count_coded(ctx, out);
+    return NodeValue(std::move(out));
   }
-  // A float edge, float weights, or the non-finite escape: finish the
-  // float block, then encode or quantize it.
+  // A float edge or float weights: finish the float block, then encode or
+  // quantize it.
   Tensor out;
   if (p.codes != nullptr && coded_in) {
     out = conv2d_codes_codes(*icodes, *p.codes, bias, spec_,
@@ -243,19 +239,18 @@ NodeValue LinearNode::run(std::span<const NodeValue* const> x,
   // the input arrived as codes or dense.
   if (p.codes != nullptr && coding != nullptr) {
     const ActEncodeSpec enc = encode_spec(*coding, act_kernel(act_));
-    auto out = icodes != nullptr
-                   ? matmul_nt_codes_codes_enc(*icodes, *p.codes, bias, enc,
-                                               ctx.approx)
-                   : matmul_nt_codes_enc(dense_rows(), *p.codes, bias, enc,
-                                         ctx.approx);
-    if (out.has_value()) {
-      if (ish.size() == 3) out->reshape({ish[0], ish[1], w.dim(0)});
-      count_coded(ctx, *out);
-      return NodeValue(std::move(*out));
-    }
+    PackedCodes out =
+        icodes != nullptr
+            ? matmul_nt_codes_codes_enc(*icodes, *p.codes, bias, enc,
+                                        ctx.approx)
+            : matmul_nt_codes_enc(dense_rows(), *p.codes, bias, enc,
+                                  ctx.approx);
+    if (ish.size() == 3) out.reshape({ish[0], ish[1], w.dim(0)});
+    count_coded(ctx, out);
+    return NodeValue(std::move(out));
   }
-  // A float edge, float weights, or the non-finite escape: finish the
-  // float block, then encode or quantize it.
+  // A float edge or float weights: finish the float block, then encode or
+  // quantize it.
   Tensor out;
   if (p.codes != nullptr && icodes != nullptr) {
     out = matmul_nt_codes_codes(*icodes, *p.codes, bias, ctx.approx);
@@ -586,14 +581,12 @@ NodeValue PatchMergeNode::run(std::span<const NodeValue* const> x,
   // Coded weights + coded output: fuse GEMM→bias→encode (patch merge has
   // no nonlinearity) so the merged tokens leave only as codes.
   if (p.codes != nullptr && coding != nullptr) {
-    auto enc = matmul_nt_codes_enc(gathered, *p.codes, bias,
-                                   encode_spec(*coding, kernels::kActNone),
-                                   ctx.approx);
-    if (enc.has_value()) {
-      enc->reshape(out_shape);
-      count_coded(ctx, *enc);
-      return NodeValue(std::move(*enc));
-    }
+    PackedCodes enc = matmul_nt_codes_enc(
+        gathered, *p.codes, bias, encode_spec(*coding, kernels::kActNone),
+        ctx.approx);
+    enc.reshape(out_shape);
+    count_coded(ctx, enc);
+    return NodeValue(std::move(enc));
   }
   const Tensor out = p.codes != nullptr
                          ? matmul_nt_codes(gathered, *p.codes, bias, ctx.approx)

@@ -17,6 +17,11 @@ namespace lp::runtime {
 namespace {
 
 constexpr char kMagic[4] = {'L', 'P', 'A', 'R'};
+/// Encoded sizes the count bounds use: an LPConfig (3 x i32 + u64), and a
+/// slot's fixed fields (u32 rank, i32 code_bits, u64 lut_index, u64
+/// nbytes).
+constexpr std::size_t kConfigBytes = 20;
+constexpr std::size_t kSlotFieldBytes = 24;
 
 [[noreturn]] void raise(ArtifactErrorCode code, const std::string& msg) {
   std::ostringstream os;
@@ -74,11 +79,12 @@ struct Reader {
   std::span<const std::uint8_t> in;
   std::size_t pos = 0;
 
+  [[nodiscard]] std::size_t left() const { return in.size() - pos; }
+
   template <typename T>
   T get() {
     static_assert(std::is_trivially_copyable_v<T>);
-    LP_ARTIFACT_CHECK(ArtifactErrorCode::kTruncated,
-                      pos + sizeof(T) <= in.size(),
+    LP_ARTIFACT_CHECK(ArtifactErrorCode::kTruncated, sizeof(T) <= left(),
                       "body ends mid-field at offset " << pos);
     T v;
     std::memcpy(&v, in.data() + pos, sizeof(T));
@@ -86,11 +92,21 @@ struct Reader {
     return v;
   }
   std::span<const std::uint8_t> get_bytes(std::size_t n) {
-    LP_ARTIFACT_CHECK(ArtifactErrorCode::kTruncated, pos + n <= in.size(),
+    LP_ARTIFACT_CHECK(ArtifactErrorCode::kTruncated, n <= left(),
                       "body ends mid-field at offset " << pos);
     const auto s = in.subspan(pos, n);
     pos += n;
     return s;
+  }
+  /// Reject a count whose elements, at least `min_bytes` each, cannot fit
+  /// in the bytes left — before a reserve() sizes a vector by it.  The
+  /// checksum is no MAC, so a resealed file reaches here with any count.
+  void check_count(std::uint64_t count, std::size_t min_bytes,
+                   const char* what) const {
+    LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
+                      count <= left() / min_bytes,
+                      what << " count " << count << " overruns the "
+                           << left() << " body bytes left");
   }
   LPConfig get_config() {
     LPConfig c;
@@ -155,9 +171,7 @@ void write_artifact(const std::string& path, const ServableModel& m) {
   std::vector<const DecodeTable*> luts;
   std::unordered_map<const DecodeTable*, std::size_t> lut_index;
   for (std::size_t s = 0; s < n; ++s) {
-    const auto& codes = qm.codes()[s];
-    if (codes == nullptr) continue;
-    const DecodeTable* lut = codes->lut().get();
+    const DecodeTable* lut = qm.codes()[s]->lut().get();
     if (lut_index.emplace(lut, luts.size()).second) luts.push_back(lut);
   }
   body.put<std::uint64_t>(luts.size());
@@ -169,29 +183,14 @@ void write_artifact(const std::string& path, const ServableModel& m) {
   }
 
   for (std::size_t s = 0; s < n; ++s) {
-    const auto& codes = qm.codes()[s];
-    const auto& floats = qm.weights()[s];
-    if (codes != nullptr) {
-      body.put<std::uint8_t>(0);
-      body.put<std::uint32_t>(static_cast<std::uint32_t>(codes->rank()));
-      for (const std::int64_t d : codes->shape()) body.put<std::int64_t>(d);
-      body.put<std::int32_t>(codes->code_bits());
-      body.put<std::uint64_t>(lut_index.at(codes->lut().get()));
-      const auto raw = codes->raw_bytes();
-      body.put<std::uint64_t>(raw.size());
-      body.put_bytes(raw.data(), raw.size());
-    } else {
-      LP_CHECK_MSG(floats != nullptr,
-                   "slot " << s << " has neither codes nor floats");
-      body.put<std::uint8_t>(1);
-      body.put<std::uint32_t>(static_cast<std::uint32_t>(floats->rank()));
-      for (const std::int64_t d : floats->shape()) body.put<std::int64_t>(d);
-      const auto data = floats->data();
-      body.put<std::uint64_t>(data.size());
-      for (const float v : data) {
-        body.put<std::uint32_t>(std::bit_cast<std::uint32_t>(v));
-      }
-    }
+    const PackedCodes& codes = *qm.codes()[s];
+    body.put<std::uint32_t>(static_cast<std::uint32_t>(codes.rank()));
+    for (const std::int64_t d : codes.shape()) body.put<std::int64_t>(d);
+    body.put<std::int32_t>(codes.code_bits());
+    body.put<std::uint64_t>(lut_index.at(codes.lut().get()));
+    const auto raw = codes.raw_bytes();
+    body.put<std::uint64_t>(raw.size());
+    body.put_bytes(raw.data(), raw.size());
   }
 
   Writer head;
@@ -260,6 +259,8 @@ Artifact read_artifact(const std::string& path) {
   art.model_name.assign(reinterpret_cast<const char*>(name.data()),
                         name.size());
   const auto num_slots = r.get<std::uint64_t>();
+  // A slot takes at least its weight config and its fixed slot fields.
+  r.check_count(num_slots, kConfigBytes + kSlotFieldBytes, "slot");
   const bool has_acts = r.get<std::uint8_t>() != 0;
   art.weight_cfgs.reserve(num_slots);
   for (std::uint64_t s = 0; s < num_slots; ++s) {
@@ -273,6 +274,7 @@ Artifact read_artifact(const std::string& path) {
   }
 
   const auto num_luts = r.get<std::uint64_t>();
+  r.check_count(num_luts, sizeof(std::uint64_t), "LUT");
   art.luts.reserve(num_luts);
   for (std::uint64_t l = 0; l < num_luts; ++l) {
     const auto lut_size = r.get<std::uint64_t>();
@@ -290,60 +292,49 @@ Artifact read_artifact(const std::string& path) {
   art.slots.reserve(num_slots);
   for (std::uint64_t s = 0; s < num_slots; ++s) {
     ArtifactSlot slot;
-    slot.packed = r.get<std::uint8_t>() == 0;
     const auto rank = r.get<std::uint32_t>();
     std::int64_t numel = 1;
     for (std::uint32_t d = 0; d < rank; ++d) {
-      slot.shape.push_back(r.get<std::int64_t>());
-      LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed, slot.shape.back() >= 0,
-                        "negative dimension at slot " << s);
-      numel *= slot.shape.back();
+      const auto dim = r.get<std::int64_t>();
+      const bool overflow = __builtin_mul_overflow(numel, dim, &numel);
+      LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed, dim >= 0 && !overflow,
+                        "negative or overflowing dimension at slot " << s);
+      slot.shape.push_back(dim);
     }
-    if (slot.packed) {
-      slot.code_bits = r.get<std::int32_t>();
-      LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
-                        slot.code_bits == 4 || slot.code_bits == 8 ||
-                            slot.code_bits == 16,
-                        "unsupported code width " << slot.code_bits);
-      slot.lut_index = r.get<std::uint64_t>();
-      LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
-                        slot.lut_index < art.luts.size(),
-                        "LUT index out of range at slot " << s);
-      const auto nbytes = r.get<std::uint64_t>();
-      LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
-                        nbytes ==
-                            PackedCodes::stream_bytes(numel, slot.code_bits),
-                        "code stream size mismatch at slot " << s);
-      const auto bytes = r.get_bytes(nbytes);
-      slot.codes.assign(bytes.begin(), bytes.end());
-      // The kernels index the LUT with these codes unchecked, and the
-      // checksum is no MAC: a re-sealed file reaches here.  The width must
-      // be the one pack() picks for the LUT (the SIMD 4-bit decode holds at
-      // most 16 entries), and every code must index the LUT.
-      const std::size_t lut_size = art.luts[slot.lut_index].size();
-      LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
-                        slot.code_bits == PackedCodes::bits_for(lut_size),
-                        "code width " << slot.code_bits << " does not fit its "
-                                      << lut_size << "-entry LUT at slot "
-                                      << s);
-      const std::uint32_t top =
-          slot.code_bits == 4   ? max_code<4>(slot.codes, numel)
-          : slot.code_bits == 8 ? max_code<8>(slot.codes, numel)
-                                : max_code<16>(slot.codes, numel);
-      LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
-                        numel == 0 || top < lut_size,
-                        "code " << top << " past the end of its " << lut_size
-                                << "-entry LUT at slot " << s);
-    } else {
-      const auto count = r.get<std::uint64_t>();
-      LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
-                        count == static_cast<std::uint64_t>(numel),
-                        "float payload size mismatch at slot " << s);
-      slot.floats.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) {
-        slot.floats.push_back(std::bit_cast<float>(r.get<std::uint32_t>()));
-      }
-    }
+    slot.code_bits = r.get<std::int32_t>();
+    LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
+                      slot.code_bits == 4 || slot.code_bits == 8 ||
+                          slot.code_bits == 16,
+                      "unsupported code width " << slot.code_bits);
+    slot.lut_index = r.get<std::uint64_t>();
+    LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
+                      slot.lut_index < art.luts.size(),
+                      "LUT index out of range at slot " << s);
+    const auto nbytes = r.get<std::uint64_t>();
+    LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
+                      nbytes ==
+                          PackedCodes::stream_bytes(numel, slot.code_bits),
+                      "code stream size mismatch at slot " << s);
+    const auto bytes = r.get_bytes(nbytes);
+    slot.codes.assign(bytes.begin(), bytes.end());
+    // The kernels index the LUT with these codes unchecked, and the
+    // checksum is no MAC: a re-sealed file reaches here.  The width must
+    // be the one pack() picks for the LUT (the SIMD 4-bit decode holds at
+    // most 16 entries), and every code must index the LUT.
+    const std::size_t lut_size = art.luts[slot.lut_index].size();
+    LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
+                      slot.code_bits == PackedCodes::bits_for(lut_size),
+                      "code width " << slot.code_bits << " does not fit its "
+                                    << lut_size << "-entry LUT at slot "
+                                    << s);
+    const std::uint32_t top =
+        slot.code_bits == 4   ? max_code<4>(slot.codes, numel)
+        : slot.code_bits == 8 ? max_code<8>(slot.codes, numel)
+                              : max_code<16>(slot.codes, numel);
+    LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed,
+                      numel == 0 || top < lut_size,
+                      "code " << top << " past the end of its " << lut_size
+                              << "-entry LUT at slot " << s);
     art.slots.push_back(std::move(slot));
   }
   LP_ARTIFACT_CHECK(ArtifactErrorCode::kMalformed, r.pos == r.in.size(),

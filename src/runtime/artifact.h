@@ -19,10 +19,8 @@
 //     [num_slots x act LPConfig]
 //     u64 num_luts; per LUT: u64 size, size x u32 float bits
 //     per slot:
-//       u8 kind (0 = packed codes, 1 = float fallback)
 //       u32 rank, rank x i64 dims
-//       packed: i32 code_bits, u64 lut_index, u64 nbytes, raw code bytes
-//       float:  u64 count, count x u32 float bits
+//       i32 code_bits, u64 lut_index, u64 nbytes, raw code bytes
 //
 // Every float crosses the boundary as its IEEE-754 bit pattern, and the
 // packed code stream is stored verbatim — so a round trip is bit-identical
@@ -53,7 +51,7 @@ namespace lp::runtime {
 class ServableModel;
 
 /// Current on-disk format version; bumped on any layout change.
-inline constexpr std::uint32_t kArtifactVersion = 1;
+inline constexpr std::uint32_t kArtifactVersion = 2;
 
 /// Why an artifact failed to load.  kNone is the "no error" value used by
 /// cold-start results; everything else names one rejection class the
@@ -87,12 +85,10 @@ class ArtifactLoadError : public std::invalid_argument {
 /// One slot's deserialized payload (raw bytes — not yet bound to a model
 /// or a decode-LUT instance; InferenceSession::load_artifact does that).
 struct ArtifactSlot {
-  bool packed = false;
   std::vector<std::int64_t> shape;
   int code_bits = 0;
-  std::size_t lut_index = 0;        ///< into Artifact::luts (packed only)
+  std::size_t lut_index = 0;        ///< into Artifact::luts
   std::vector<std::uint8_t> codes;  ///< packed payload
-  std::vector<float> floats;        ///< float-fallback payload
 };
 
 /// In-memory form of a deserialized artifact.

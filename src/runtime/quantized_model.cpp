@@ -9,7 +9,6 @@ nn::ForwardResult QuantizedModel::run(const Tensor& input, bool capture_pooled,
   std::vector<nn::SlotPlan> plan(codes_.size());
   for (std::size_t s = 0; s < plan.size(); ++s) {
     plan[s].codes = codes_[s].get();
-    plan[s].weight = weights_[s].get();
     plan[s].act = act_fmts_[s].get();
     if (s < act_coding_.size() && act_coding_[s].qidx != nullptr) {
       plan[s].out = &act_coding_[s];

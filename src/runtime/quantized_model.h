@@ -8,14 +8,13 @@
 // payload alive even if the cache evicts it mid-flight.  run() hands
 // Model::run one nn::SlotPlan per slot, built from the shared payloads;
 // it executes the fused per-node quantize -> GEMM -> activation pipeline
-// on the default thread pool and the dispatched SIMD kernels.  Slots with
-// packed codes run the LUT-decoding GEMM datapath (slots the packed path
-// cannot serve carry a pre-quantized float tensor instead) — in either
-// case bit-identical to Model::forward_quantized with the equivalent
-// QuantSpec.
+// on the default thread pool and the dispatched SIMD kernels.  Every slot
+// holds packed codes and runs the LUT-decoding GEMM datapath —
+// bit-identical to Model::forward_quantized with the equivalent QuantSpec.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/packed_codes.h"
@@ -51,19 +50,18 @@ class QuantizedModel {
   }
   [[nodiscard]] bool empty() const { return model_ == nullptr; }
 
-  /// Per-slot packed weight codes (null = slot runs the float payload in
-  /// weights(), or its FP weights when both are null).
+  /// Per-slot packed weight codes (never null in a prepared snapshot).
   [[nodiscard]] const std::vector<std::shared_ptr<const PackedCodes>>& codes()
       const {
     return codes_;
   }
-  /// Per-slot quantized float weights — only filled for slots the packed
-  /// path could not serve (null everywhere codes() is non-null).
-  [[nodiscard]] const std::vector<std::shared_ptr<const Tensor>>& weights()
+  /// Always empty: every slot is packed.  Kept only because the frozen
+  /// end-to-end benchmark (e2ebench/src/replay.cpp) sums its float bytes.
+  [[nodiscard]] std::span<const std::shared_ptr<const Tensor>> weights()
       const {
-    return weights_;
+    return {};
   }
-  /// Per-slot weight formats aligned with weights() (null = FP slot).
+  /// Per-slot weight formats aligned with codes().
   [[nodiscard]] const std::vector<std::shared_ptr<const LPFormat>>&
   weight_formats() const {
     return weight_fmts_;
@@ -85,7 +83,6 @@ class QuantizedModel {
 
   const nn::Model* model_ = nullptr;
   std::vector<std::shared_ptr<const PackedCodes>> codes_;
-  std::vector<std::shared_ptr<const Tensor>> weights_;
   std::vector<std::shared_ptr<const LPFormat>> weight_fmts_;
   std::vector<std::shared_ptr<const LPFormat>> act_fmts_;
   /// Per-slot coded-activation specs; the shared_ptr LUT inside each entry

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "runtime/artifact.h"
-#include "tensor/ops.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
 
@@ -130,38 +129,26 @@ void InferenceSession::prepare_missing(
     pair_luts[i] = weights_.decode_lut(cfg, *formats_.find(cfg));
   }
 
-  // Quantize missing weight payloads in parallel.  The packed path emits
-  // nearest-value code indices straight from the FP weights — the same
-  // indices whose LUT entries quantize_batch writes — so decoding the
-  // cached codes reproduces the float flow bit-for-bit; slots the packed
-  // path cannot serve (no enumerated code table, or non-finite weight
-  // elements) copy and quantize a float tensor exactly as before.  The
-  // format and LUT maps are read-only here (built above).
-  std::vector<WeightPayload> payloads(missing_weights.size());
+  // Pack missing weight codes in parallel: nearest-value code indices
+  // straight from the FP weights — the same indices whose LUT entries
+  // quantize_batch writes, a non-finite element the NaN code — so decoding
+  // the cached codes reproduces the float flow bit-for-bit.  The format
+  // and LUT maps are read-only here (built above).
+  std::vector<std::shared_ptr<const PackedCodes>> packed(
+      missing_weights.size());
   const auto& slots = model_->slot_list();
   pool.run_chunks(static_cast<std::int64_t>(missing_weights.size()),
                   [&](std::int64_t i) {
                     const auto u = static_cast<std::size_t>(i);
                     const auto& [slot, cfg] = missing_weights[u];
-                    const std::shared_ptr<const LPFormat> fmt = formats_.find(cfg);
                     const Tensor& w = slots[slot]->weight;
-                    if (pair_luts[u] != nullptr) {
-                      auto packed =
-                          PackedCodes::pack(w.data(), w.shape(), *fmt,
-                                            pair_luts[u]);
-                      if (packed.has_value()) {
-                        payloads[u].codes = std::make_shared<const PackedCodes>(
-                            std::move(*packed));
-                        return;
-                      }
-                    }
-                    auto copy = std::make_shared<Tensor>(w);
-                    quantize_inplace(*copy, *fmt);
-                    payloads[u].floats = std::move(copy);
+                    packed[u] = std::make_shared<const PackedCodes>(
+                        PackedCodes::pack(w.data(), w.shape(),
+                                          *formats_.find(cfg), pair_luts[u]));
                   });
   for (std::size_t i = 0; i < missing_weights.size(); ++i) {
     weights_.insert(missing_weights[i].first, missing_weights[i].second,
-                    std::move(payloads[i]));
+                    std::move(packed[i]));
   }
 }
 
@@ -174,7 +161,6 @@ QuantizedModel InferenceSession::assemble(std::span<const LPConfig> weight_cfgs,
   QuantizedModel qm;
   qm.model_ = model_;
   qm.codes_.resize(n);
-  qm.weights_.resize(n);
   qm.weight_fmts_.resize(n);
   qm.act_fmts_.resize(n);
   const bool coded_acts = opts_.coded_activations && !act_cfgs.empty();
@@ -184,10 +170,8 @@ QuantizedModel InferenceSession::assemble(std::span<const LPConfig> weight_cfgs,
     // get() (not find()) so assembly stamps format recency for the
     // generational sweep; this phase is serial, so stamping is safe.
     qm.weight_fmts_[s] = formats_.get(weight_cfgs[s]);
-    WeightPayload payload = weights_.find(s, weight_cfgs[s]);
-    LP_CHECK_MSG(!payload.empty(), "slot " << s << " not prepared");
-    qm.codes_[s] = std::move(payload.codes);
-    qm.weights_[s] = std::move(payload.floats);
+    qm.codes_[s] = weights_.find(s, weight_cfgs[s]);
+    LP_CHECK_MSG(qm.codes_[s] != nullptr, "slot " << s << " not prepared");
     if (!act_cfgs.empty()) {
       qm.act_fmts_[s] = formats_.get(act_cfgs[s]);
       if (coded_acts) {
@@ -324,41 +308,35 @@ std::uint64_t InferenceSession::load_artifact(const std::string& path) {
                       "slot " << s << " shape mismatch against model '"
                               << model_->name() << "'");
     if (weights_.contains(s, cfg)) continue;  // keep the cached bits
-    const std::shared_ptr<const LPFormat> fmt = formats_.get(cfg);
-    WeightPayload payload;
-    if (as.packed) {
-      std::shared_ptr<const DecodeTable> lut = weights_.decode_lut(cfg, *fmt);
-      LP_ARTIFACT_CHECK(ArtifactErrorCode::kLutMismatch, lut != nullptr,
-                        "slot " << s
-                                << " is packed but the format has no decode "
-                                   "table in this build");
-      if (!lut_verified[as.lut_index]) {
-        // The artifact's table must be bit-equal to the one this build
-        // derives for the config — otherwise the stored codes would decode
-        // to different values than a fresh quantization.
-        const DecodeTable& stored = art.luts[as.lut_index];
+    std::shared_ptr<const DecodeTable> lut =
+        weights_.decode_lut(cfg, *formats_.get(cfg));
+    LP_ARTIFACT_CHECK(ArtifactErrorCode::kLutMismatch, lut != nullptr,
+                      "slot " << s
+                              << " has no decode table in this build");
+    if (!lut_verified[as.lut_index]) {
+      // The artifact's table must be bit-equal to the one this build
+      // derives for the config — otherwise the stored codes would decode
+      // to different values than a fresh quantization.
+      const DecodeTable& stored = art.luts[as.lut_index];
+      LP_ARTIFACT_CHECK(ArtifactErrorCode::kLutMismatch,
+                        stored.size() == lut->size(),
+                        "decode LUT size mismatch (format tables changed "
+                        "since the artifact was written)");
+      for (std::size_t i = 0; i < stored.size(); ++i) {
         LP_ARTIFACT_CHECK(ArtifactErrorCode::kLutMismatch,
-                          stored.size() == lut->size(),
-                          "decode LUT size mismatch (format tables changed "
-                          "since the artifact was written)");
-        for (std::size_t i = 0; i < stored.size(); ++i) {
-          LP_ARTIFACT_CHECK(ArtifactErrorCode::kLutMismatch,
-                            std::bit_cast<std::uint32_t>(stored[i]) ==
-                                std::bit_cast<std::uint32_t>((*lut)[i]),
-                            "decode LUT entry " << i
-                                << " mismatch (format tables changed since "
-                                   "the artifact was written)");
-        }
-        lut_verified[as.lut_index] = true;
+                          std::bit_cast<std::uint32_t>(stored[i]) ==
+                              std::bit_cast<std::uint32_t>((*lut)[i]),
+                          "decode LUT entry " << i
+                              << " mismatch (format tables changed since "
+                                 "the artifact was written)");
       }
-      payload.codes = std::make_shared<const PackedCodes>(
-          PackedCodes::from_codes(std::move(as.codes), as.shape, as.code_bits,
-                                  std::move(lut)));
-    } else {
-      payload.floats = std::make_shared<const Tensor>(
-          Tensor(as.shape, std::move(as.floats)));
+      lut_verified[as.lut_index] = true;
     }
-    weights_.insert(s, cfg, std::move(payload), /*count_miss=*/false);
+    weights_.insert(s, cfg,
+                    std::make_shared<const PackedCodes>(PackedCodes::from_codes(
+                        std::move(as.codes), as.shape, as.code_bits,
+                        std::move(lut))),
+                    /*count_miss=*/false);
   }
 
   // Assemble through the normal prepare path — every (slot, format) pair

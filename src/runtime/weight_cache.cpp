@@ -7,30 +7,21 @@
 namespace lp::runtime {
 namespace {
 
-std::size_t physical_bytes(const WeightPayload& p) {
-  if (p.codes != nullptr) return p.codes->payload_bytes();
-  return static_cast<std::size_t>(p.floats->numel()) * sizeof(float);
-}
-
-std::size_t decoded_bytes(const WeightPayload& p) {
-  if (p.codes != nullptr) return p.codes->logical_bytes();
-  return static_cast<std::size_t>(p.floats->numel()) * sizeof(float);
-}
-
 std::size_t lut_payload_bytes(const DecodeTable& lut) {
   return lut.size() * sizeof(float);
 }
 
 }  // namespace
 
-WeightPayload WeightCodeCache::find(std::size_t slot, const LPConfig& cfg) {
+std::shared_ptr<const PackedCodes> WeightCodeCache::find(std::size_t slot,
+                                                         const LPConfig& cfg) {
   Shard& shard = shard_for(slot);
   const MutexLock lk(shard.mu);
   const auto it = shard.entries.find(SlotKey{slot, FormatKey::of(cfg)});
   if (it == shard.entries.end()) return {};
   it->second.last_used = tick_.load(std::memory_order_relaxed);
   counters_.hits.fetch_add(1, std::memory_order_relaxed);
-  return it->second.payload;
+  return it->second.codes;
 }
 
 bool WeightCodeCache::contains(std::size_t slot, const LPConfig& cfg) const {
@@ -41,36 +32,34 @@ bool WeightCodeCache::contains(std::size_t slot, const LPConfig& cfg) const {
 }
 
 void WeightCodeCache::insert(std::size_t slot, const LPConfig& cfg,
-                             WeightPayload payload, bool count_miss) {
-  LP_CHECK(!payload.empty());
+                             std::shared_ptr<const PackedCodes> codes,
+                             bool count_miss) {
+  LP_CHECK(codes != nullptr);
   if (count_miss) counters_.misses.fetch_add(1, std::memory_order_relaxed);
   const SlotKey key{slot, FormatKey::of(cfg)};
-  const std::size_t phys = physical_bytes(payload);
-  const std::size_t log = decoded_bytes(payload);
-  const bool packed = payload.packed();
   Shard& shard = shard_for(slot);
   const MutexLock lk(shard.mu);
   const std::uint64_t tick = tick_.load(std::memory_order_relaxed);
   auto [it, inserted] =
-      shard.entries.emplace(key, Entry{std::move(payload), tick, phys, log});
+      shard.entries.emplace(key, Entry{std::move(codes), tick});
   if (!inserted) {
     it->second.last_used = tick;
     return;  // already cached (same bits); keep the existing copy
   }
-  if (packed) {
-    // The payload must carry the LUT decode_lut() interned for this
-    // format — that is what find() hands to live snapshots and what the
-    // byte accounting charged once.
+  const PackedCodes& stored = *it->second.codes;
+  {
+    // The codes must carry the LUT decode_lut() interned for this format —
+    // that is what find() hands to live snapshots and what the byte
+    // accounting charged once.
     const MutexLock llk(lut_mu_);
     const auto lit = luts_.find(key.fmt);
-    LP_CHECK_MSG(lit != luts_.end() &&
-                     lit->second.lut == it->second.payload.codes->lut(),
-                 "packed payload with an un-interned decode LUT");
+    LP_CHECK_MSG(lit != luts_.end() && lit->second.lut == stored.lut(),
+                 "packed codes with an un-interned decode LUT");
     ++lit->second.refs;
-    counters_.packed_entries.fetch_add(1, std::memory_order_relaxed);
   }
-  counters_.bytes.fetch_add(phys, std::memory_order_relaxed);
-  counters_.logical_bytes.fetch_add(log, std::memory_order_relaxed);
+  counters_.bytes.fetch_add(stored.payload_bytes(), std::memory_order_relaxed);
+  counters_.logical_bytes.fetch_add(stored.logical_bytes(),
+                                    std::memory_order_relaxed);
   counters_.entries.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -123,8 +112,6 @@ CacheStats WeightCodeCache::stats() const {
   s.logical_bytes = counters_.logical_bytes.load(std::memory_order_relaxed);
   s.lut_bytes = counters_.lut_bytes.load(std::memory_order_relaxed);
   s.act_lut_bytes = counters_.act_lut_bytes.load(std::memory_order_relaxed);
-  s.packed_entries =
-      counters_.packed_entries.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -139,20 +126,18 @@ void WeightCodeCache::erase_entry_locked(
     Shard& shard, const SlotKey& key,
     std::map<SlotKey, Entry>::iterator it) {
   const Entry& entry = it->second;
-  counters_.bytes.fetch_sub(entry.phys_bytes, std::memory_order_relaxed);
-  counters_.logical_bytes.fetch_sub(entry.log_bytes,
+  counters_.bytes.fetch_sub(entry.codes->payload_bytes(),
+                            std::memory_order_relaxed);
+  counters_.logical_bytes.fetch_sub(entry.codes->logical_bytes(),
                                     std::memory_order_relaxed);
-  if (entry.payload.packed()) {
-    counters_.packed_entries.fetch_sub(1, std::memory_order_relaxed);
+  {
     const MutexLock llk(lut_mu_);
     const auto lit = luts_.find(key.fmt);
     if (lit != luts_.end() && --lit->second.refs == 0) {
       // Last entry of this format gone: its decode LUT goes with it.
-      if (lit->second.lut != nullptr) {
-        const std::size_t b = lut_payload_bytes(*lit->second.lut);
-        counters_.bytes.fetch_sub(b, std::memory_order_relaxed);
-        counters_.lut_bytes.fetch_sub(b, std::memory_order_relaxed);
-      }
+      const std::size_t b = lut_payload_bytes(*lit->second.lut);
+      counters_.bytes.fetch_sub(b, std::memory_order_relaxed);
+      counters_.lut_bytes.fetch_sub(b, std::memory_order_relaxed);
       luts_.erase(lit);
     }
   }
@@ -193,8 +178,8 @@ void WeightCodeCache::evict_to_budget() {
 }
 
 void WeightCodeCache::sweep_stale_luts() {
-  // A LUT interned for a format whose every tensor fell back to floats
-  // (non-finite weights) has refs == 0 and would otherwise linger charged
+  // A LUT interned for a format no entry holds (an artifact load rejected
+  // after interning it) has refs == 0 and would otherwise linger charged
   // against the budget forever.  Null records (formats the packed path
   // cannot serve) cost nothing and stay as a negative cache.
   const std::uint64_t tick = tick_.load(std::memory_order_relaxed);

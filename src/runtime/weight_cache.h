@@ -11,12 +11,11 @@
 // Entries are PackedCodes — n-bit code indices (bit-packed for 4-bit) plus
 // one decode LUT shared per format — exactly what the paper's accelerator
 // keeps in SRAM, so the same byte budget holds 4-8x more (slot, format)
-// pairs than the float tensors it used to store.  Slots the packed path
-// cannot serve (a format without an enumerated code table, or weights with
-// non-finite elements, which quantize to NaN) fall back to a float
-// tensor.  stats() reports physical bytes (codes + fallbacks + LUTs — the
-// LUTs are charged so many live formats cannot silently overshoot the
-// budget), the float32-equivalent logical bytes, and the LUT share.
+// pairs than the float tensors it used to store.  Every weight tensor
+// packs: a non-finite element takes its LUT's NaN code.  stats() reports
+// physical bytes (codes + LUTs — the LUTs are charged so many live formats
+// cannot silently overshoot the budget), the float32-equivalent logical
+// bytes, and the LUT share.
 //
 // Eviction is generational LRU under a byte budget: every prepare pass on
 // the owning session advances a tick, entries remember the last tick that
@@ -47,7 +46,6 @@
 
 #include "core/packed_codes.h"
 #include "runtime/format_cache.h"
-#include "tensor/tensor.h"
 #include "util/thread_annotations.h"
 
 namespace lp::runtime {
@@ -61,24 +59,10 @@ struct CacheStats {
   std::uint64_t misses = 0;      ///< lookups that required quantization
   std::uint64_t evictions = 0;   ///< entries dropped by the byte budget
   std::size_t entries = 0;       ///< live entries
-  std::size_t bytes = 0;         ///< live physical bytes: codes + float fallbacks + decode LUTs
+  std::size_t bytes = 0;         ///< live physical bytes: codes + decode LUTs
   std::size_t logical_bytes = 0; ///< float32-equivalent bytes of live entries
   std::size_t lut_bytes = 0;     ///< portion of `bytes` held by weight decode LUTs
   std::size_t act_lut_bytes = 0; ///< portion of `bytes` held by activation decode LUTs
-  std::size_t packed_entries = 0;///< entries stored as packed codes (rest are float fallbacks)
-};
-
-/// One cached weight payload: packed codes (the common path for every
-/// n <= 16 LP format) or a pre-quantized float tensor (fallback).
-/// Decoding `codes` yields bit-for-bit the floats `floats` would hold.
-struct WeightPayload {
-  std::shared_ptr<const PackedCodes> codes;
-  std::shared_ptr<const Tensor> floats;
-
-  [[nodiscard]] bool packed() const { return codes != nullptr; }
-  [[nodiscard]] bool empty() const {
-    return codes == nullptr && floats == nullptr;
-  }
 };
 
 class WeightCodeCache {
@@ -93,28 +77,30 @@ class WeightCodeCache {
   explicit WeightCodeCache(std::size_t budget_bytes = kDefaultBudgetBytes)
       : budget_bytes_(budget_bytes) {}
 
-  /// Cached payload for (slot, cfg), or an empty payload.  A hit marks the
+  /// Cached codes for (slot, cfg), or null.  A hit marks the
   /// entry as used in the current tick and counts toward stats().hits
   /// (lookups served from the cache — including entries quantized earlier
   /// in the same prepare pass; misses counts pairs that had to be
   /// quantized, so the invalidation delta per format-gene change is exact).
   /// Thread-safe against concurrent finds and a concurrent prepare.
-  [[nodiscard]] WeightPayload find(std::size_t slot, const LPConfig& cfg);
+  [[nodiscard]] std::shared_ptr<const PackedCodes> find(std::size_t slot,
+                                                        const LPConfig& cfg);
 
   /// Presence probe without touching counters or recency.  Thread-safe.
   [[nodiscard]] bool contains(std::size_t slot, const LPConfig& cfg) const;
 
-  /// Insert a freshly quantized payload.  A packed payload must carry the
-  /// LUT decode_lut() returned for its config.  `count_miss` is false when
-  /// seeding from a serialized artifact — those payloads were never
-  /// quantized here, and cold-start accounting must show zero misses.
-  void insert(std::size_t slot, const LPConfig& cfg, WeightPayload payload,
+  /// Insert freshly packed codes, which must carry the LUT decode_lut()
+  /// returned for their config.  `count_miss` is false when seeding from a
+  /// serialized artifact — those codes were never quantized here, and
+  /// cold-start accounting must show zero misses.
+  void insert(std::size_t slot, const LPConfig& cfg,
+              std::shared_ptr<const PackedCodes> codes,
               bool count_miss = true);
 
   /// Shared decode LUT for cfg, built from `fmt` on first request and
   /// charged against the budget, or null when the format cannot serve the
-  /// packed path (callers then quantize a float fallback).  Prepare phase
-  /// only (serialized by the owning session).
+  /// packed path (build_decode_table; never for a valid LPConfig).
+  /// Prepare phase only (serialized by the owning session).
   [[nodiscard]] std::shared_ptr<const DecodeTable> decode_lut(
       const LPConfig& cfg, const NumberFormat& fmt);
 
@@ -147,10 +133,8 @@ class WeightCodeCache {
     }
   };
   struct Entry {
-    WeightPayload payload;
+    std::shared_ptr<const PackedCodes> codes;
     std::uint64_t last_used = 0;
-    std::size_t phys_bytes = 0;
-    std::size_t log_bytes = 0;
   };
   struct LutRec {
     std::shared_ptr<const DecodeTable> lut;  ///< null = format can't pack
@@ -174,7 +158,7 @@ class WeightCodeCache {
 
   void evict_to_budget();
   /// Drop one entry; caller holds the shard lock (NOT lut_mu_ — the lock
-  /// order is shard.mu then lut_mu_, taken inside for packed payloads).
+  /// order is shard.mu then lut_mu_, taken inside).
   void erase_entry_locked(Shard& shard, const SlotKey& key,
                           std::map<SlotKey, Entry>::iterator it)
       LP_REQUIRES(shard.mu) LP_EXCLUDES(lut_mu_);
@@ -204,7 +188,6 @@ class WeightCodeCache {
     std::atomic<std::size_t> logical_bytes{0};
     std::atomic<std::size_t> lut_bytes{0};
     std::atomic<std::size_t> act_lut_bytes{0};
-    std::atomic<std::size_t> packed_entries{0};
   };
   mutable Counters counters_;
 };

@@ -1,7 +1,6 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -10,7 +9,6 @@
 #include "core/packed_codes.h"
 #include "kernels/kernels.h"
 #include "kernels/kernels_internal.h"
-#include "util/fault_injection.h"
 #include "util/thread_pool.h"
 
 namespace lp {
@@ -61,17 +59,14 @@ const float* raw_or_null(const Tensor* t) {
 /// dispatched table's.  Every kernel runs GemmArgs' arithmetic, so all
 /// operand forms, both B layouts and every table round identically, and
 /// rows are independent, so the split may depend on the pool size without
-/// affecting results.  Returns false when any block's epilogue met a
-/// non-finite output (all blocks still run; the caller discards the
-/// stream).
-bool gemm_parallel(const kernels::GemmArgs& g, std::int64_t m,
+/// affecting results.
+void gemm_parallel(const kernels::GemmArgs& g, std::int64_t m,
                    kernels::ApproxMode approx = kernels::ApproxMode::kExact) {
   const kernels::GemmFn fn = approx == kernels::ApproxMode::kPlam
                                  ? &kernels::plam::gemm
                                  : kernels::dispatch().gemm;
-  std::atomic<bool> ok{true};
   auto body = [&](std::int64_t row_begin, std::int64_t row_end, std::int64_t) {
-    if (!fn(g, row_begin, row_end)) ok.store(false, std::memory_order_relaxed);
+    fn(g, row_begin, row_end);
   };
   // A coded B^T (the matmul_nt_codes* ops) is decoded whole per row-block
   // call (O(n*k)); a block must carry enough A rows to amortize that, or a
@@ -85,13 +80,6 @@ bool gemm_parallel(const kernels::GemmArgs& g, std::int64_t m,
                  std::max(balanced_grain(m, pool.thread_count()), min_rows),
                  body);
   }
-  // Chaos harness: pretend the epilogue saw a non-finite output, so the
-  // caller exercises the real escape hatch (discard the coded stream,
-  // re-run the edge unfused — bit-identical by the fusion contract).
-  if (g.ep != nullptr && LP_FAULT_POINT("kernel.epilogue.nonfinite")) {
-    return false;
-  }
-  return ok.load(std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -105,9 +93,9 @@ Tensor matmul(const Tensor& a, const Tensor& b, const Tensor* bias) {
   const std::int64_t n = b.dim(1);
   Tensor c({m, n});
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
-  (void)gemm_parallel({operand(a), operand(b), false, raw_or_null(bias),
-                       c.raw(), nullptr, k, n},
-                      m);
+  gemm_parallel({operand(a), operand(b), false, raw_or_null(bias), c.raw(),
+                 nullptr, k, n},
+                m);
   return c;
 }
 
@@ -120,9 +108,9 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b, const Tensor* bias) {
   const std::int64_t n = b.dim(0);
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
   Tensor c({m, n});
-  (void)gemm_parallel({operand(a), operand(b), true, raw_or_null(bias),
-                       c.raw(), nullptr, k, n},
-                      m);
+  gemm_parallel({operand(a), operand(b), true, raw_or_null(bias), c.raw(),
+                 nullptr, k, n},
+                m);
   return c;
 }
 
@@ -136,17 +124,15 @@ Tensor matmul_nt_codes(const Tensor& a, const PackedCodes& b,
   const std::int64_t n = b.dim(0);
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
   Tensor c({m, n});
-  (void)gemm_parallel({operand(a), operand(b), true, raw_or_null(bias),
-                       c.raw(), nullptr, k, n},
-                      m, approx);
+  gemm_parallel({operand(a), operand(b), true, raw_or_null(bias), c.raw(),
+                 nullptr, k, n},
+                m, approx);
   return c;
 }
 
-std::optional<PackedCodes> matmul_nt_codes_enc(const Tensor& a,
-                                               const PackedCodes& b,
-                                               const Tensor* bias,
-                                               const ActEncodeSpec& enc,
-                                               kernels::ApproxMode approx) {
+PackedCodes matmul_nt_codes_enc(const Tensor& a, const PackedCodes& b,
+                                const Tensor* bias, const ActEncodeSpec& enc,
+                                kernels::ApproxMode approx) {
   LP_CHECK(a.rank() == 2 && b.rank() == 2);
   LP_CHECK_MSG(a.dim(1) == b.dim(1), "matmul_nt_codes inner dims "
                                          << a.dim(1) << " vs " << b.dim(1));
@@ -157,11 +143,9 @@ std::optional<PackedCodes> matmul_nt_codes_enc(const Tensor& a,
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
   std::vector<std::uint8_t> codes(PackedCodes::stream_bytes(m * n, enc.bits));
   const kernels::ActEncode ep{enc.qidx, codes.data(), enc.bits, enc.act};
-  if (!gemm_parallel({operand(a), operand(b), true, raw_or_null(bias),
-                      nullptr, &ep, k, n},
-                     m, approx)) {
-    return std::nullopt;
-  }
+  gemm_parallel(
+      {operand(a), operand(b), true, raw_or_null(bias), nullptr, &ep, k, n}, m,
+      approx);
   return PackedCodes::from_codes(std::move(codes), {m, n}, enc.bits, enc.lut);
 }
 
@@ -175,17 +159,16 @@ Tensor matmul_nt_codes_codes(const PackedCodes& a, const PackedCodes& b,
   const std::int64_t n = b.dim(0);
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
   Tensor c({m, n});
-  (void)gemm_parallel({operand(a), operand(b), true, raw_or_null(bias),
-                       c.raw(), nullptr, k, n},
-                      m, approx);
+  gemm_parallel({operand(a), operand(b), true, raw_or_null(bias), c.raw(),
+                 nullptr, k, n},
+                m, approx);
   return c;
 }
 
-std::optional<PackedCodes> matmul_nt_codes_codes_enc(const PackedCodes& a,
-                                                     const PackedCodes& b,
-                                                     const Tensor* bias,
-                                                     const ActEncodeSpec& enc,
-                                                     kernels::ApproxMode approx) {
+PackedCodes matmul_nt_codes_codes_enc(const PackedCodes& a,
+                                      const PackedCodes& b, const Tensor* bias,
+                                      const ActEncodeSpec& enc,
+                                      kernels::ApproxMode approx) {
   LP_CHECK(a.rank() >= 2 && b.rank() == 2);
   const std::int64_t k = a.shape().back();
   LP_CHECK_MSG(k == b.dim(1), "matmul_nt_codes_codes inner dims "
@@ -196,11 +179,9 @@ std::optional<PackedCodes> matmul_nt_codes_codes_enc(const PackedCodes& a,
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == n);
   std::vector<std::uint8_t> codes(PackedCodes::stream_bytes(m * n, enc.bits));
   const kernels::ActEncode ep{enc.qidx, codes.data(), enc.bits, enc.act};
-  if (!gemm_parallel({operand(a), operand(b), true, raw_or_null(bias),
-                      nullptr, &ep, k, n},
-                     m, approx)) {
-    return std::nullopt;
-  }
+  gemm_parallel(
+      {operand(a), operand(b), true, raw_or_null(bias), nullptr, &ep, k, n}, m,
+      approx);
   return PackedCodes::from_codes(std::move(codes), {m, n}, enc.bits, enc.lut);
 }
 
@@ -210,11 +191,8 @@ std::optional<PackedCodes> encode_acts(const Tensor& t,
   std::vector<std::uint8_t> codes(PackedCodes::stream_bytes(t.numel(), enc.bits));
   const kernels::ActEncode ep{enc.qidx, codes.data(), enc.bits, enc.act};
   const float* src = t.raw();
-  std::atomic<bool> ok{true};
   auto body = [&](std::int64_t e0, std::int64_t e1, std::int64_t) {
-    if (!kernels::detail::encode_row_block(ep, src + e0, e0, e1 - e0)) {
-      ok.store(false, std::memory_order_relaxed);
-    }
+    kernels::detail::encode_row_block(ep, src + e0, e0, e1 - e0);
   };
   const std::int64_t nelem = t.numel();
   if (nelem < kRowsSerialBelow) {
@@ -222,7 +200,6 @@ std::optional<PackedCodes> encode_acts(const Tensor& t,
   } else {
     parallel_for(default_pool(), 0, nelem, 1 << 15, body);
   }
-  if (!ok.load(std::memory_order_relaxed)) return std::nullopt;
   return PackedCodes::from_codes(std::move(codes), t.shape(), enc.bits,
                                  enc.lut);
 }
@@ -358,10 +335,9 @@ template <typename Weight, typename Cols>
 void group_gemm(const Weight& weight, std::int64_t w0, const Cols& cols,
                 float* result, std::int64_t m, std::int64_t k,
                 std::int64_t n) {
-  (void)gemm_parallel(
-      {operand(weight, w0), operand(cols), false, nullptr, result, nullptr, k,
-       n},
-      m);
+  gemm_parallel({operand(weight, w0), operand(cols), false, nullptr, result,
+                 nullptr, k, n},
+                m);
 }
 
 /// `count` elements from element `e0` as floats: a tensor's own storage,
@@ -421,9 +397,8 @@ float* direct_scratch(std::int64_t count) {
 ///    slice against it.
 /// The direct loop is the GEMM reference's arithmetic on a one-row
 /// patch matrix, so both paths, and every storage form, round the same.
-/// Returns whether every sink call succeeded (all channels still run).
 template <typename Input, typename Weight, typename MakeWrite>
-bool conv2d_core(const Input& input, const Weight& weight, const Tensor* bias,
+void conv2d_core(const Input& input, const Weight& weight, const Tensor* bias,
                  const Conv2dSpec& spec, std::uint32_t zero_code,
                  MakeWrite&& make_write) {
   LP_CHECK(input.rank() == 4 && weight.rank() == 4);
@@ -451,10 +426,9 @@ bool conv2d_core(const Input& input, const Weight& weight, const Tensor* bias,
   const std::int64_t col_width = n * ho * wo;
 
   auto write = make_write(std::vector<std::int64_t>{n, cout, ho, wo});
-  std::atomic<bool> ok{true};
   auto emit = [&](std::int64_t oc, const float* row) {
     const float bias_v = (bias != nullptr) ? (*bias)[oc] : 0.0F;
-    return write(oc * ho * wo, cout * ho * wo, ho * wo, n, row, bias_v);
+    write(oc * ho * wo, cout * ho * wo, ho * wo, n, row, bias_v);
   };
 
   if (cg_in == 1) {
@@ -465,7 +439,6 @@ bool conv2d_core(const Input& input, const Weight& weight, const Tensor* bias,
       float* const row = direct_scratch(col_width + h * w + k);
       float* const plane = row + col_width;
       float* const taps = plane + h * w;
-      bool block_ok = true;
       for (std::int64_t oc = oc_begin; oc < oc_end; ++oc) {
         const float* wts = elems(weight, oc * k, k, taps);
         const std::int64_t c = oc / cg_out;
@@ -474,12 +447,11 @@ bool conv2d_core(const Input& input, const Weight& weight, const Tensor* bias,
               elems(input, (b * cin + c) * h * w, h * w, plane), wts, shape,
               row + b * ho * wo);
         }
-        block_ok = emit(oc, row) && block_ok;
+        emit(oc, row);
       }
-      if (!block_ok) ok.store(false, std::memory_order_relaxed);
     };
     for_row_blocks(cout * k * col_width, kGemmSerialBelow, cout, channels);
-    return ok.load(std::memory_order_relaxed);
+    return;
   }
 
   for (std::int64_t g = 0; g < spec.groups; ++g) {
@@ -491,16 +463,12 @@ bool conv2d_core(const Input& input, const Weight& weight, const Tensor* bias,
     // Output channels write disjoint planes — parallel over oc.
     auto scatter = [&](std::int64_t oc_begin, std::int64_t oc_end,
                        std::int64_t) {
-      bool block_ok = true;
       for (std::int64_t oc = oc_begin; oc < oc_end; ++oc) {
-        block_ok =
-            emit(g * cg_out + oc, result.data() + oc * col_width) && block_ok;
+        emit(g * cg_out + oc, result.data() + oc * col_width);
       }
-      if (!block_ok) ok.store(false, std::memory_order_relaxed);
     };
     for_row_blocks(cg_out * col_width, kRowsSerialBelow, cg_out, scatter);
   }
-  return ok.load(std::memory_order_relaxed);
 }
 
 /// Sink factory writing raw floats into a fresh NCHW tensor — the plain
@@ -516,7 +484,6 @@ auto tensor_sink(Tensor& out) {
         const float* s = src + r * run;
         for (std::int64_t i = 0; i < run; ++i) dst[i] = s[i] + bias_v;
       }
-      return true;
     };
   };
 }
@@ -525,8 +492,8 @@ auto tensor_sink(Tensor& out) {
 /// shape (recorded in `out_shape`) and encodes through `ep`.  Each call
 /// bias-adds the channel row into kernel scratch, runs the batched
 /// epilogue (act + SIMD nearest-index search) once, then scatters codes
-/// per batch-image plane — element-for-element identical to
-/// encode_elem(ep, src[r*run+i] + bias_v, e+r*stride+i).
+/// per batch-image plane — element-for-element the codes encode_row_block
+/// writes for src[r*run+i] + bias_v at e+r*stride+i.
 auto encode_sink(std::vector<std::uint8_t>& codes,
                  std::vector<std::int64_t>& out_shape,
                  kernels::ActEncode& ep) {
@@ -541,29 +508,22 @@ auto encode_sink(std::vector<std::uint8_t>& codes,
       const std::int64_t count = run * nruns;
       float* buf = kernels::detail::fused_scratch(count);
       for (std::int64_t i = 0; i < count; ++i) buf[i] = src[i] + bias_v;
-      return kernels::detail::encode_strided_block(ep, buf, count, e, stride,
-                                                   run);
+      kernels::detail::encode_strided_block(ep, buf, count, e, stride, run);
     };
   };
 }
 
 /// The fused conv ops' shared body: run the core into an encode sink.
-/// Nullopt when an output was non-finite, or when the chaos harness
-/// forces the same escape as gemm_parallel.
 template <typename Input>
-std::optional<PackedCodes> conv2d_enc(const Input& input,
-                                      const PackedCodes& weight,
-                                      const Tensor* bias,
-                                      const Conv2dSpec& spec,
-                                      std::uint32_t zero_code,
-                                      const ActEncodeSpec& enc) {
+PackedCodes conv2d_enc(const Input& input, const PackedCodes& weight,
+                       const Tensor* bias, const Conv2dSpec& spec,
+                       std::uint32_t zero_code, const ActEncodeSpec& enc) {
   LP_CHECK(enc.lut != nullptr && (enc.bits == 8 || enc.bits == 16));
   std::vector<std::uint8_t> codes;
   std::vector<std::int64_t> out_shape;
   kernels::ActEncode ep{enc.qidx, nullptr, enc.bits, enc.act};
-  const bool ok = conv2d_core(input, weight, bias, spec, zero_code,
-                              encode_sink(codes, out_shape, ep));
-  if (LP_FAULT_POINT("kernel.epilogue.nonfinite") || !ok) return std::nullopt;
+  conv2d_core(input, weight, bias, spec, zero_code,
+              encode_sink(codes, out_shape, ep));
   return PackedCodes::from_codes(std::move(codes), std::move(out_shape),
                                  enc.bits, enc.lut);
 }
@@ -573,22 +533,20 @@ std::optional<PackedCodes> conv2d_enc(const Input& input,
 Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
               const Conv2dSpec& spec) {
   Tensor out;
-  (void)conv2d_core(input, weight, bias, spec, 0, tensor_sink(out));
+  conv2d_core(input, weight, bias, spec, 0, tensor_sink(out));
   return out;
 }
 
 Tensor conv2d_codes(const Tensor& input, const PackedCodes& weight,
                     const Tensor* bias, const Conv2dSpec& spec) {
   Tensor out;
-  (void)conv2d_core(input, weight, bias, spec, 0, tensor_sink(out));
+  conv2d_core(input, weight, bias, spec, 0, tensor_sink(out));
   return out;
 }
 
-std::optional<PackedCodes> conv2d_codes_enc(const Tensor& input,
-                                            const PackedCodes& weight,
-                                            const Tensor* bias,
-                                            const Conv2dSpec& spec,
-                                            const ActEncodeSpec& enc) {
+PackedCodes conv2d_codes_enc(const Tensor& input, const PackedCodes& weight,
+                             const Tensor* bias, const Conv2dSpec& spec,
+                             const ActEncodeSpec& enc) {
   return conv2d_enc(input, weight, bias, spec, 0, enc);
 }
 
@@ -596,16 +554,15 @@ Tensor conv2d_codes_codes(const PackedCodes& input, const PackedCodes& weight,
                           const Tensor* bias, const Conv2dSpec& spec,
                           std::uint32_t zero_code) {
   Tensor out;
-  (void)conv2d_core(input, weight, bias, spec, zero_code, tensor_sink(out));
+  conv2d_core(input, weight, bias, spec, zero_code, tensor_sink(out));
   return out;
 }
 
-std::optional<PackedCodes> conv2d_codes_codes_enc(const PackedCodes& input,
-                                                  const PackedCodes& weight,
-                                                  const Tensor* bias,
-                                                  const Conv2dSpec& spec,
-                                                  std::uint32_t zero_code,
-                                                  const ActEncodeSpec& enc) {
+PackedCodes conv2d_codes_codes_enc(const PackedCodes& input,
+                                   const PackedCodes& weight,
+                                   const Tensor* bias, const Conv2dSpec& spec,
+                                   std::uint32_t zero_code,
+                                   const ActEncodeSpec& enc) {
   return conv2d_enc(input, weight, bias, spec, zero_code, enc);
 }
 

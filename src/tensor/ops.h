@@ -52,7 +52,9 @@ void quantize_inplace(Tensor& t, const NumberFormat& fmt);
 /// nearest-index encoded through `qidx`, and lands in a fresh stream of
 /// `bits`-wide codes decoding through `lut` — the inter-layer activation
 /// never materializes as floats.  `qidx` and `lut` must belong to the same
-/// format (lut[i] == the float the quantize path stores for index i).
+/// format (lut is its build_decode_table(): lut[i] == the float the
+/// quantize path stores for index i, and a non-finite element encodes to
+/// the trailing NaN entry).
 struct ActEncodeSpec {
   kernels::QuantIndexView qidx;
   std::shared_ptr<const DecodeTable> lut;
@@ -63,10 +65,8 @@ struct ActEncodeSpec {
 /// Fused variant of matmul_nt_codes: act + encode applied per element
 /// before it leaves the kernel, so a float-activation × coded-weight
 /// layer writes only codes — the decode→GEMM→bias→act→encode pipeline is
-/// one kernel pass.  Returns nullopt when any output element is
-/// non-finite (no code can represent NaN) — callers re-run the edge on
-/// the float path.
-[[nodiscard]] std::optional<PackedCodes> matmul_nt_codes_enc(
+/// one kernel pass.
+[[nodiscard]] PackedCodes matmul_nt_codes_enc(
     const Tensor& a, const PackedCodes& b, const Tensor* bias,
     const ActEncodeSpec& enc,
     kernels::ApproxMode approx = kernels::ApproxMode::kExact);
@@ -82,9 +82,8 @@ struct ActEncodeSpec {
 
 /// Fused variant of matmul_nt_codes_codes: act + encode applied per
 /// element before it leaves the kernel; the [M,N] result exists only as
-/// codes.  Returns nullopt when any output element is non-finite (no code
-/// can represent NaN) — callers re-run the edge on the float path.
-[[nodiscard]] std::optional<PackedCodes> matmul_nt_codes_codes_enc(
+/// codes.
+[[nodiscard]] PackedCodes matmul_nt_codes_codes_enc(
     const PackedCodes& a, const PackedCodes& b, const Tensor* bias,
     const ActEncodeSpec& enc,
     kernels::ApproxMode approx = kernels::ApproxMode::kExact);
@@ -92,9 +91,10 @@ struct ActEncodeSpec {
 /// Encode an (already activated) float tensor into a coded activation
 /// stream through the epilogue's nearest-index search: the decoded stream
 /// equals quantizing `t` through the same table, element for element.
-/// Returns nullopt when any element is non-finite.  Used where the GEMM
-/// output cannot be encoded in-kernel (float-input conv, attention) but
-/// the outgoing edge is still coded.
+/// Used where a float block meets a coded output edge (a float-weight
+/// slot of a hand-built plan).  Always engaged: the optional stays only
+/// because the frozen end-to-end benchmark (e2ebench/src/replay.cpp)
+/// tests the result.
 [[nodiscard]] std::optional<PackedCodes> encode_acts(const Tensor& t,
                                                      const ActEncodeSpec& enc);
 
@@ -127,8 +127,8 @@ struct Conv2dSpec {
 
 /// Fused variant of conv2d_codes: bias + act + encode applied per element
 /// in the scatter, so the float-input × coded-weight convolution emits
-/// only codes.  Returns nullopt when any output element is non-finite.
-[[nodiscard]] std::optional<PackedCodes> conv2d_codes_enc(
+/// only codes.
+[[nodiscard]] PackedCodes conv2d_codes_enc(
     const Tensor& input, const PackedCodes& weight, const Tensor* bias,
     const Conv2dSpec& spec, const ActEncodeSpec& enc);
 
@@ -146,8 +146,8 @@ struct Conv2dSpec {
 
 /// Fused variant of conv2d_codes_codes: bias + act + encode applied per
 /// element in the scatter, so the [N,Cout,H',W'] output exists only as
-/// codes.  Returns nullopt when any output element is non-finite.
-[[nodiscard]] std::optional<PackedCodes> conv2d_codes_codes_enc(
+/// codes.
+[[nodiscard]] PackedCodes conv2d_codes_codes_enc(
     const PackedCodes& input, const PackedCodes& weight, const Tensor* bias,
     const Conv2dSpec& spec, std::uint32_t zero_code, const ActEncodeSpec& enc);
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "util/check.h"
 #include "util/thread_annotations.h"
@@ -59,7 +61,11 @@ std::uint64_t parse_u64(const std::string& s, const std::string& clause) {
   LP_CHECK_MSG(!s.empty() && s.find_first_not_of("0123456789") == std::string::npos,
                "malformed LP_FAULT clause '" << clause << "': '" << s
                                              << "' is not a positive integer");
-  const unsigned long long v = std::strtoull(s.c_str(), nullptr, 10);
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  LP_CHECK_MSG(ec == std::errc() && end == s.data() + s.size(),
+               "malformed LP_FAULT clause '" << clause << "': '" << s
+                                             << "' overflows 64 bits");
   LP_CHECK_MSG(v > 0, "malformed LP_FAULT clause '" << clause
                                                     << "': occurrence indices "
                                                        "are 1-based");
@@ -93,6 +99,9 @@ void set_plan(const std::string& point, TriggerPlan plan) {
 }
 
 void set_plan_string(const std::string& spec) {
+  // Parse every clause before arming any, so a bad clause leaves the
+  // previous plans exactly as they were.
+  std::vector<std::pair<std::size_t, TriggerPlan>> parsed;
   std::size_t at = 0;
   while (at < spec.size()) {
     std::size_t end = spec.find(';', at);
@@ -120,8 +129,10 @@ void set_plan_string(const std::string& spec) {
         h = plus + 1;
       }
     }
-    set_plan(point, std::move(plan));
+    parsed.emplace_back(checked_index(point), std::move(plan));
   }
+  const MutexLock lk(g_mu);
+  for (auto& [idx, plan] : parsed) arm_locked(idx, std::move(plan));
 }
 
 void load_env() {

@@ -43,8 +43,6 @@ namespace lp::fault {
 inline constexpr const char* kRegisteredPoints[] = {
     "artifact.read.checksum",    // artifact body fails its FNV-1a check
     "artifact.read.truncate",    // artifact file reads short
-    "kernel.epilogue.nonfinite", // fused encode epilogue reports a
-                                 // non-finite output (float-path escape)
     "pool.task",                 // a thread-pool chunk throws before
                                  // running its body
     "snapshot.publish",          // publishing a prepared snapshot fails
@@ -84,7 +82,8 @@ void set_plan(const std::string& point, TriggerPlan plan);
 ///   point@every:N    fire on every Nth arrival
 ///   point@after:N    fire on every arrival past the Nth
 /// e.g. "pool.task@3+7;artifact.read.checksum@every:2".  Throws
-/// std::invalid_argument on malformed input or unregistered names.
+/// std::invalid_argument on malformed input, an index past 2^64 - 1 or
+/// an unregistered name, and then arms none of the clauses.
 void set_plan_string(const std::string& spec);
 
 /// Re-read the LP_FAULT environment variable and arm its plans (no-op if

@@ -7,8 +7,8 @@
 // and LP_KERNEL (the CI kernel A/B step re-runs this binary under
 // LP_KERNEL=scalar and =avx2, and the ASan/TSan legs run it too).  On top
 // of that: per-edge float fallback, capture hooks forcing the float path,
-// the fused codes-codes GEMM/conv epilogues on odd shapes, and the
-// encode-failure (non-finite) escape hatch.
+// the fused codes-codes GEMM/conv epilogues on odd shapes, and non-finite
+// values travelling coded as the NaN code.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -242,6 +242,90 @@ TEST(CodedActivations, PerEdgeFloatFallback) {
   EXPECT_GT(traffic.float_bytes, 0);  // the odd slots really produced float
 }
 
+TEST(CodedActivations, NonFiniteValuesStayCodedAndBitIdentical) {
+  // ±inf and NaN in the input batch or in weight slots: the coded-edge
+  // session, the float-edge session and forward_quantized agree bit for
+  // bit, and the poison changes neither which edges leave coded nor which
+  // slots hold codes — a non-finite value travels as the NaN code.
+  PoolGuard guard;
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  for (const char* name :
+       {"tiny_cnn", "resnet18", "mobilenetv2", "tiny_vit", "swin_t"}) {
+    SCOPED_TRACE(name);
+    const nn::Model clean = nn::build_model(name, small_opts());
+    nn::Model poisoned = nn::build_model(name, small_opts());
+    poisoned.slot_list()[1]->weight[3] = kInf;
+    poisoned.slot_list()[2]->weight[0] = kNaN;
+    const auto w = varied_weight_cfgs(clean);
+    const auto a = varied_act_cfgs(w);
+    std::vector<std::unique_ptr<LPFormat>> storage;
+    nn::QuantSpec spec;
+    spec.resize(clean.num_slots());
+    for (std::size_t s = 0; s < clean.num_slots(); ++s) {
+      storage.push_back(std::make_unique<LPFormat>(w[s]));
+      spec.weight_fmt[s] = storage.back().get();
+      storage.push_back(std::make_unique<LPFormat>(a[s]));
+      spec.act_fmt[s] = storage.back().get();
+    }
+
+    runtime::SessionOptions float_opts;
+    float_opts.coded_activations = false;
+    runtime::InferenceSession coded_clean(clean);
+    runtime::InferenceSession float_clean(clean, float_opts);
+    runtime::InferenceSession coded_poisoned(poisoned);
+    runtime::InferenceSession float_poisoned(poisoned, float_opts);
+    for (runtime::InferenceSession* s :
+         {&coded_clean, &float_clean, &coded_poisoned, &float_poisoned}) {
+      s->set_formats(w, a);
+    }
+    for (const runtime::InferenceSession* s : {&coded_clean, &coded_poisoned}) {
+      const runtime::QuantizedModel& snap = s->current();
+      for (std::size_t slot = 0; slot < snap.codes().size(); ++slot) {
+        EXPECT_NE(snap.codes()[slot], nullptr) << "slot " << slot;
+      }
+    }
+
+    const Tensor x = random_batch(3, 3, 16, 101);
+    Tensor x_bad = x;
+    const std::int64_t per = x.numel() / 3;
+    x_bad[0] = kInf;
+    x_bad[per + per / 2] = -kInf;
+    x_bad[3 * per - 1] = kNaN;
+    const struct {
+      const char* what;
+      const nn::Model* model;
+      const runtime::InferenceSession* coded;
+      const runtime::InferenceSession* floats;
+      const Tensor* input;
+    } cases[] = {{"finite", &clean, &coded_clean, &float_clean, &x},
+                 {"input", &clean, &coded_clean, &float_clean, &x_bad},
+                 {"weights", &poisoned, &coded_poisoned, &float_poisoned, &x}};
+
+    for (const int threads : {1, 8}) {
+      set_default_pool_threads(threads);
+      nn::ActTraffic finite_traffic;
+      for (const auto& c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << c.what << " threads=" << threads);
+        nn::ActTraffic traffic;
+        const Tensor got = c.coded->run(*c.input, false, &traffic).logits;
+        const Tensor ref = c.floats->run(*c.input).logits;
+        const Tensor oracle = c.model->forward_quantized(*c.input, spec).logits;
+        EXPECT_TRUE(bits_equal(got, ref));
+        EXPECT_TRUE(bits_equal(got, oracle));
+        if (c.input == &x && c.model == &clean) {
+          EXPECT_GT(traffic.coded_bytes, 0);
+          finite_traffic = traffic;
+        } else {
+          EXPECT_EQ(traffic.coded_bytes, finite_traffic.coded_bytes);
+          EXPECT_EQ(traffic.float_bytes, finite_traffic.float_bytes);
+        }
+      }
+    }
+  }
+}
+
 // --- ops level: fused codes-codes GEMM/conv on odd shapes ------------------
 
 struct CodedPair {
@@ -257,7 +341,6 @@ CodedPair code_tensor(const Tensor& t, const LPFormat& fmt, int min_bits) {
   auto lut = build_decode_table(fmt);
   EXPECT_NE(lut, nullptr);
   out.codes = PackedCodes::pack(t.data(), t.shape(), fmt, lut, min_bits);
-  EXPECT_TRUE(out.codes.has_value());
   out.dense = t;
   quantize_inplace(out.dense, fmt);
   return out;
@@ -310,15 +393,14 @@ TEST(CodedGemm, FusedEncodeEpilogueMatchesQuantizeOfFloatResult) {
                       PackedCodes::bits_for(out_lut->size(), 8), act};
     const auto coded = matmul_nt_codes_codes_enc(*ca.codes, *cb.codes, &bias,
                                                  enc);
-    ASSERT_TRUE(coded.has_value()) << "act=" << act;
 
     // Reference: the float path — fused GEMM, nonlinearity, then one
     // quantize_batch pass — decoded codes must match bit-for-bit.
     Tensor ref = matmul_nt(ca.dense, cb.dense, &bias);
     for (float& v : ref.data()) v = kernels::act_eval(v, act);
     quantize_inplace(ref, af);
-    Tensor got(coded->shape());
-    coded->decode(got.data());
+    Tensor got(coded.shape());
+    coded.decode(got.data());
     ASSERT_TRUE(bits_equal(got, ref)) << "act=" << act;
   }
 }
@@ -345,13 +427,12 @@ TEST(CodedGemm, FloatInFusedEncodeMatchesUnfusedFlow) {
     const ActEncodeSpec enc{af.quant_index()->view(), out_lut,
                             PackedCodes::bits_for(out_lut->size(), 8), act};
     const auto coded = matmul_nt_codes_enc(a, *cb.codes, &bias, enc);
-    ASSERT_TRUE(coded.has_value()) << "act=" << act;
 
     Tensor ref = matmul_nt_codes(a, *cb.codes, &bias);
     for (float& v : ref.data()) v = kernels::act_eval(v, act);
     quantize_inplace(ref, af);
-    Tensor got(coded->shape());
-    coded->decode(got.data());
+    Tensor got(coded.shape());
+    coded.decode(got.data());
     ASSERT_TRUE(bits_equal(got, ref)) << "act=" << act;
   }
 }
@@ -374,15 +455,14 @@ TEST(CodedGemm, FloatInFusedEncodeUnderPlamMatchesPlamThenEncode) {
                           kernels::kActRelu};
   const auto coded = matmul_nt_codes_enc(a, *cb.codes, nullptr, enc,
                                          kernels::ApproxMode::kPlam);
-  ASSERT_TRUE(coded.has_value());
   Tensor ref =
       matmul_nt_codes(a, *cb.codes, nullptr, kernels::ApproxMode::kPlam);
   const Tensor exact = matmul_nt_codes(a, *cb.codes, nullptr);
   EXPECT_FALSE(bits_equal(ref, exact));  // the approximation really ran
   for (float& v : ref.data()) v = kernels::act_eval(v, kernels::kActRelu);
   quantize_inplace(ref, af);
-  Tensor got(coded->shape());
-  coded->decode(got.data());
+  Tensor got(coded.shape());
+  coded.decode(got.data());
   ASSERT_TRUE(bits_equal(got, ref));
 }
 
@@ -414,18 +494,20 @@ TEST(CodedConv, FloatInFusedEncodeMatchesUnfusedFlow) {
                             PackedCodes::bits_for(lut->size(), 8),
                             kernels::kActRelu};
     const auto coded = conv2d_codes_enc(input, *cw.codes, &bias, spec, enc);
-    ASSERT_TRUE(coded.has_value()) << t.c << "ch groups=" << t.groups;
 
     Tensor ref = conv2d_codes(input, *cw.codes, &bias, spec);
     for (float& v : ref.data()) v = kernels::act_eval(v, kernels::kActRelu);
     quantize_inplace(ref, af);
-    Tensor got(coded->shape());
-    coded->decode(got.data());
+    Tensor got(coded.shape());
+    coded.decode(got.data());
     ASSERT_TRUE(bits_equal(got, ref)) << t.c << "ch groups=" << t.groups;
   }
 }
 
-TEST(CodedGemm, EncodeFailsOnNonFiniteOutput) {
+TEST(CodedGemm, NonFiniteOutputEncodesToNaNCode) {
+  // A non-finite output element takes the NaN code — the decode table's
+  // entry after the format's values — and decodes to the quiet NaN the
+  // float path stores for it, in the fused epilogue and in encode_acts.
   const LPFormat wf(LPConfig{4, 1, 2, 0.0});
   const LPFormat af(LPConfig{8, 2, 4, 0.0});
   Tensor a({2, 3});
@@ -438,16 +520,35 @@ TEST(CodedGemm, EncodeFailsOnNonFiniteOutput) {
   const CodedPair ca = code_tensor(a, af, 8);
   const CodedPair cb = code_tensor(b, wf, 0);
   auto out_lut = build_decode_table(af);
+  const auto nan_code = static_cast<std::uint32_t>(out_lut->size() - 1);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(out_lut->back()), 0x7fc00000U);
   const ActEncodeSpec enc{af.quant_index()->view(), out_lut,
                           PackedCodes::bits_for(out_lut->size(), 8),
                           kernels::kActNone};
-  EXPECT_FALSE(
-      matmul_nt_codes_codes_enc(*ca.codes, *cb.codes, &bias, enc).has_value());
-  // encode_acts hits the same escape hatch on a non-finite float tensor.
-  Tensor nf({2});
+  const PackedCodes coded =
+      matmul_nt_codes_codes_enc(*ca.codes, *cb.codes, &bias, enc);
+  Tensor ref = matmul_nt(ca.dense, cb.dense, &bias);
+  quantize_inplace(ref, af);
+  Tensor got(coded.shape());
+  coded.decode(got.data());
+  EXPECT_TRUE(bits_equal(got, ref));
+  for (std::int64_t i = 0; i < coded.numel(); ++i) {
+    EXPECT_EQ(kernels::packed_code_at(coded.view(), i) == nan_code, i % 2 == 0)
+        << i;
+  }
+
+  Tensor nf({3});
   nf[0] = std::numeric_limits<float>::quiet_NaN();
   nf[1] = 1.0F;
-  EXPECT_FALSE(encode_acts(nf, enc).has_value());
+  nf[2] = -std::numeric_limits<float>::infinity();
+  const PackedCodes enc_nf = *encode_acts(nf, enc);
+  Tensor nf_ref = nf;
+  quantize_inplace(nf_ref, af);
+  Tensor nf_got(enc_nf.shape());
+  enc_nf.decode(nf_got.data());
+  EXPECT_TRUE(bits_equal(nf_got, nf_ref));
+  EXPECT_EQ(kernels::packed_code_at(enc_nf.view(), 0), nan_code);
+  EXPECT_EQ(kernels::packed_code_at(enc_nf.view(), 2), nan_code);
 }
 
 TEST(CodedGemm, Rank3ActivationOperandFlattensToRows) {
@@ -513,14 +614,13 @@ TEST(CodedConv, CodesCodesMatchesFloatWithPaddingAndGroups) {
                                               spec,
                                               static_cast<std::uint32_t>(zc),
                                               enc);
-    ASSERT_TRUE(coded.has_value());
     Tensor fused_ref = ref;
     for (float& v : fused_ref.data()) {
       v = kernels::act_eval(v, kernels::kActRelu);
     }
     quantize_inplace(fused_ref, af);
-    Tensor decoded(coded->shape());
-    coded->decode(decoded.data());
+    Tensor decoded(coded.shape());
+    coded.decode(decoded.data());
     ASSERT_TRUE(bits_equal(decoded, fused_ref));
   }
 }
@@ -536,12 +636,11 @@ TEST(CodedOps, EncodeActsRoundTripOnOddSizes) {
     const ActEncodeSpec enc{af.quant_index()->view(), lut,
                             PackedCodes::bits_for(lut->size(), 8),
                             kernels::kActNone};
-    const auto coded = encode_acts(t, enc);
-    ASSERT_TRUE(coded.has_value()) << n;
+    const PackedCodes coded = *encode_acts(t, enc);
     Tensor ref = t;
     quantize_inplace(ref, af);
-    Tensor got(coded->shape());
-    coded->decode(got.data());
+    Tensor got(coded.shape());
+    coded.decode(got.data());
     ASSERT_TRUE(bits_equal(got, ref)) << n;
   }
 }

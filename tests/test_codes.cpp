@@ -7,8 +7,9 @@
 // denormal and ±inf entries, structural zeros under infinities, unaligned
 // element offsets (grouped-conv slices), and non-multiple-of-8 sizes.  On
 // top of that: PackedCodes round-trips bit-exactly against quantize_batch
-// (tie midpoints included), non-finite weights force the float fallback,
-// and the ops/runtime layers stay bit-identical across LP_THREADS values.
+// (tie midpoints and non-finite elements included), every decode table's
+// trailing NaN entry fits its format's code width, and the ops/runtime
+// layers stay bit-identical across LP_THREADS values.
 // CI re-runs this binary under LP_KERNEL=scalar and =avx2.
 #include <gtest/gtest.h>
 
@@ -23,9 +24,13 @@
 
 #include "core/lp_format.h"
 #include "core/packed_codes.h"
+#include "formats/adaptivfloat.h"
+#include "formats/flint.h"
+#include "formats/lns.h"
+#include "formats/minifloat.h"
+#include "formats/posit.h"
+#include "formats/uniform_int.h"
 #include "kernels/kernels.h"
-#include "nn/zoo.h"
-#include "runtime/session.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -171,9 +176,9 @@ TEST_F(CodesKernelTest, CodedABitIdenticalToDecodeThenGemm) {
           kernels::scalar_kernels().gemm_rows(a_dec.data(), b.data(), bp,
                                               c_ref.data(), 0, s.m, s.k, s.n);
           for (const auto* t : tables_) {
-            ASSERT_TRUE(t->gemm({{nullptr, view}, {b.data(), {}}, false, bp,
-                                 c_got.data(), nullptr, s.k, s.n},
-                                0, s.m));
+            t->gemm({{nullptr, view}, {b.data(), {}}, false, bp, c_got.data(),
+                     nullptr, s.k, s.n},
+                    0, s.m);
             EXPECT_TRUE(bitwise_equal(c_ref.data(), c_got.data(), s.m * s.n))
                 << t->name << " bits=" << bits << " " << s.m << "x" << s.k
                 << "x" << s.n << " offset=" << offset
@@ -225,9 +230,9 @@ TEST_F(CodesKernelTest, CodedBtBitIdenticalToDecodeThenGemm) {
         kernels::scalar_kernels().gemm_nt_rows(a.data(), b_dec.data(), bp,
                                                c_ref.data(), 0, s.m, s.k, s.n);
         for (const auto* t : tables_) {
-          ASSERT_TRUE(t->gemm({{a.data(), {}}, {nullptr, view}, true, bp,
-                               c_got.data(), nullptr, s.k, s.n},
-                              0, s.m));
+          t->gemm({{a.data(), {}}, {nullptr, view}, true, bp, c_got.data(),
+                   nullptr, s.k, s.n},
+                  0, s.m);
           EXPECT_TRUE(bitwise_equal(c_ref.data(), c_got.data(), s.m * s.n))
               << t->name << " bits=" << bits << " " << s.m << "x" << s.k << "x"
               << s.n << (bp != nullptr ? " +bias" : "");
@@ -263,9 +268,9 @@ TEST_F(CodesKernelTest, SplitRowRangesMatchFullRange) {
       return {{nullptr, av}, {b_float.data(), {}}, false, nullptr, c, nullptr,
               s.k, s.n};
     };
-    ASSERT_TRUE(t->gemm(coded_a(c_full.data()), 0, s.m));
+    t->gemm(coded_a(c_full.data()), 0, s.m);
     for (std::size_t ci = 0; ci + 1 < std::size(cuts); ++ci) {
-      ASSERT_TRUE(t->gemm(coded_a(c_split.data()), cuts[ci], cuts[ci + 1]));
+      t->gemm(coded_a(c_split.data()), cuts[ci], cuts[ci + 1]);
     }
     EXPECT_TRUE(bitwise_equal(c_full.data(), c_split.data(), s.m * s.n))
         << t->name << " codes_rows";
@@ -274,9 +279,9 @@ TEST_F(CodesKernelTest, SplitRowRangesMatchFullRange) {
       return {{x.data(), {}}, {nullptr, bv}, true, nullptr, c, nullptr,
               s.k, s.n};
     };
-    ASSERT_TRUE(t->gemm(coded_bt(c_full.data()), 0, s.m));
+    t->gemm(coded_bt(c_full.data()), 0, s.m);
     for (std::size_t ci = 0; ci + 1 < std::size(cuts); ++ci) {
-      ASSERT_TRUE(t->gemm(coded_bt(c_split.data()), cuts[ci], cuts[ci + 1]));
+      t->gemm(coded_bt(c_split.data()), cuts[ci], cuts[ci + 1]);
     }
     EXPECT_TRUE(bitwise_equal(c_full.data(), c_split.data(), s.m * s.n))
         << t->name << " codes_nt_rows";
@@ -337,31 +342,96 @@ TEST(PackedCodesRoundTrip, DecodeMatchesQuantizeBatchAllWidths) {
     // 1001 elements: odd count exercises the 4-bit nibble tail.
     std::vector<float> data = tie_heavy_buffer(fmt.all_values(), 1001,
                                                40 + static_cast<std::uint64_t>(c.n));
-    const auto packed = PackedCodes::pack(
+    // Non-finite elements take the NaN code, which decodes to the quiet
+    // NaN quantize_batch stores for them.
+    data[17] = kInf;
+    data[500] = -kInf;
+    data[999] = std::numeric_limits<float>::quiet_NaN();
+    const PackedCodes packed = PackedCodes::pack(
         data, {static_cast<std::int64_t>(data.size())}, fmt, lut);
-    ASSERT_TRUE(packed.has_value()) << "n=" << c.n;
-    EXPECT_EQ(packed->code_bits(), c.want_bits) << "n=" << c.n;
-    EXPECT_LE(packed->payload_bytes() * 8,
+    EXPECT_EQ(packed.code_bits(), c.want_bits) << "n=" << c.n;
+    EXPECT_LE(packed.payload_bytes() * 8,
               static_cast<std::size_t>(c.want_bits) * data.size() + 8);
 
     std::vector<float> quantized = data;
     (void)fmt.quantize_batch(quantized);
     std::vector<float> decoded(data.size());
     for (std::size_t i = 0; i < data.size(); ++i) {
-      decoded[i] = packed->decode_at(static_cast<std::int64_t>(i));
+      decoded[i] = packed.decode_at(static_cast<std::int64_t>(i));
     }
     EXPECT_EQ(bits_of(quantized), bits_of(decoded)) << "n=" << c.n;
+    EXPECT_EQ(kernels::packed_code_at(packed.view(), 999), lut->size() - 1);
   }
 }
 
-TEST(PackedCodesRoundTrip, NonFinitePackRejected) {
-  const LPFormat fmt(LPConfig{8, 1, 4, 3.0});
-  const auto lut = build_decode_table(fmt);
-  std::vector<float> data(64, 0.25F);
-  data[17] = kInf;
-  EXPECT_FALSE(PackedCodes::pack(data, {64}, fmt, lut).has_value());
-  data[17] = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_FALSE(PackedCodes::pack(data, {64}, fmt, lut).has_value());
+TEST(PackedCodesRoundTrip, NaNEntryNeverWidensACode) {
+  // Every decode table ends in one NaN entry.  For the LPQ search space
+  // (every LP config with n <= 8), one LP config per width 9-16 and the
+  // comparison formats at n <= 8, that entry still fits the format's code
+  // width: no table holds 2^n values.
+  std::vector<std::pair<std::string, std::unique_ptr<NumberFormat>>> fmts;
+  for (int n = 2; n <= 8; ++n) {
+    for (int es = 0; es <= 5; ++es) {
+      for (int rs = 1; rs <= n - 1; ++rs) {
+        const LPConfig cfg{n, es, rs, 0.0};
+        if (cfg.valid()) {
+          fmts.emplace_back(cfg.to_string(), std::make_unique<LPFormat>(cfg));
+        }
+      }
+    }
+  }
+  const std::size_t lpq_space = fmts.size();
+  EXPECT_EQ(lpq_space, 113U);
+  for (int n = 9; n <= 16; ++n) {
+    const LPConfig cfg{n, 2, n - 1, 0.0};
+    fmts.emplace_back(cfg.to_string(), std::make_unique<LPFormat>(cfg));
+  }
+  const std::size_t lp_count = fmts.size();
+  for (int n = 3; n <= 8; ++n) {
+    auto add = [&](std::unique_ptr<NumberFormat> f) {
+      fmts.emplace_back(f->name(), std::move(f));
+    };
+    add(std::make_unique<UniformIntFormat>(n, 0.125));
+    add(std::make_unique<FlintFormat>(n, 1.0));
+    add(std::make_unique<PositFormat>(n, n >= 5 ? 1 : 0));
+    for (int e = 1; e <= n - 2; ++e) {
+      add(std::make_unique<AdaptivFloatFormat>(n, e, 0));
+      add(std::make_unique<LnsFormat>(n, e));
+    }
+    for (int e = 2; e <= n - 1; ++e) {
+      add(std::make_unique<MiniFloatFormat>(n, e));
+    }
+  }
+  fmts.emplace_back("int2", std::make_unique<UniformIntFormat>(2, 1.0));
+  fmts.emplace_back("posit2", std::make_unique<PositFormat>(2, 0));
+
+  for (std::size_t f = 0; f < fmts.size(); ++f) {
+    const auto& [name, fmt] = fmts[f];
+    SCOPED_TRACE(name);
+    const auto lut = build_decode_table(*fmt);
+    ASSERT_NE(lut, nullptr);
+    const std::size_t size = lut->size();
+    EXPECT_LE(size, std::size_t{1} << fmt->bits());
+    for (const int min_bits : {0, 8}) {
+      EXPECT_EQ(PackedCodes::bits_for(size, min_bits),
+                PackedCodes::bits_for(size - 1, min_bits));
+    }
+    // Values past float range cast to ±inf or ±0 and may repeat (es = 5 at
+    // n >= 7); every other neighbouring pair is strictly ascending.
+    for (std::size_t i = 1; i + 1 < size; ++i) {
+      const float lo = (*lut)[i - 1];
+      const float hi = (*lut)[i];
+      if (std::isinf(lo) || std::isinf(hi) || lo == 0.0F || hi == 0.0F) {
+        ASSERT_LE(lo, hi) << "entry " << i;
+      } else {
+        ASSERT_LT(lo, hi) << "entry " << i;
+      }
+    }
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(lut->back()), 0x7fc00000U);
+    if (f < lp_count) {
+      EXPECT_GE(lut_zero_code(*lut), 0);
+    }
+  }
 }
 
 // --- ops layer -------------------------------------------------------------
@@ -374,7 +444,6 @@ TEST(CodesOps, MatmulNtCodesBitIdenticalAcrossThreadCounts) {
   Rng rng(11);
   for (float& v : w.data()) v = static_cast<float>(rng.gaussian(0.0, 0.5));
   const auto packed = PackedCodes::pack(w.data(), w.shape(), fmt, lut);
-  ASSERT_TRUE(packed.has_value());
   Tensor wq = w;
   (void)fmt.quantize_batch(wq.data());
   Tensor x({21, 47});
@@ -386,7 +455,7 @@ TEST(CodesOps, MatmulNtCodesBitIdenticalAcrossThreadCounts) {
   for (const int threads : {1, 8}) {
     set_default_pool_threads(threads);
     const Tensor ref = matmul_nt(x, wq, &bias);
-    const Tensor got = matmul_nt_codes(x, *packed, &bias);
+    const Tensor got = matmul_nt_codes(x, packed, &bias);
     ASSERT_EQ(bits_of(got.data()), bits_of(ref.data())) << "threads=" << threads;
     runs.push_back(bits_of(got.data()));
   }
@@ -406,8 +475,7 @@ TEST(CodesOps, GroupedConvCodesBitIdentical) {
   for (float& v : w.data()) v = static_cast<float>(rng.gaussian(0.0, 0.5));
   for (float& v : bias.data()) v = static_cast<float>(rng.gaussian());
   const auto packed = PackedCodes::pack(w.data(), w.shape(), fmt, lut);
-  ASSERT_TRUE(packed.has_value());
-  ASSERT_EQ(packed->code_bits(), 4);
+  ASSERT_EQ(packed.code_bits(), 4);
   Tensor wq = w;
   (void)fmt.quantize_batch(wq.data());
 
@@ -420,7 +488,7 @@ TEST(CodesOps, GroupedConvCodesBitIdentical) {
   for (const int threads : {1, 8}) {
     set_default_pool_threads(threads);
     const Tensor ref = conv2d(x, wq, &bias, spec);
-    const Tensor got = conv2d_codes(x, *packed, &bias, spec);
+    const Tensor got = conv2d_codes(x, packed, &bias, spec);
     ASSERT_EQ(bits_of(got.data()), bits_of(ref.data())) << "threads=" << threads;
   }
 }
@@ -559,8 +627,7 @@ TEST(CodesOps, DepthwiseDirectPathMatchesIm2colGemm) {
     Tensor x_inf = x;
     for (std::int64_t ch = 0; ch < c; ++ch) x_inf.at4(0, ch, 1, 1) = kInf;
     const auto xc = PackedCodes::pack(x.data(), x.shape(), af, alut, 8);
-    ASSERT_TRUE(xc.has_value());
-    const Tensor xd = decoded(*xc);
+    const Tensor xd = decoded(xc);
 
     const Tensor ref = conv_by_im2col_matmul(x, wd, bias, spec);
     const Tensor ref_inf = conv_by_im2col_matmul(x_inf, wd_inf, bias, spec);
@@ -594,27 +661,28 @@ TEST(CodesOps, DepthwiseDirectPathMatchesIm2colGemm) {
                 bits_of(ref.data()));
       EXPECT_EQ(bits_of(conv2d_codes(x_inf, wc_inf, &bias, spec).data()),
                 bits_of(ref_inf.data()));
-      EXPECT_EQ(bits_of(conv2d_codes_codes(*xc, wc, &bias, spec, zcode).data()),
+      EXPECT_EQ(bits_of(conv2d_codes_codes(xc, wc, &bias, spec, zcode).data()),
                 bits_of(ref_cc.data()));
       EXPECT_EQ(
-          bits_of(conv2d_codes_codes(*xc, wc_inf, &bias, spec, zcode).data()),
+          bits_of(conv2d_codes_codes(xc, wc_inf, &bias, spec, zcode).data()),
           bits_of(ref_cc_inf.data()));
 
       const auto e = conv2d_codes_enc(x, wc, &bias, spec, enc);
-      ASSERT_TRUE(e.has_value());
-      EXPECT_EQ(bits_of(decoded(*e).data()),
+      EXPECT_EQ(bits_of(decoded(e).data()),
                 bits_of(act_quantized(ref).data()));
-      const auto ecc = conv2d_codes_codes_enc(*xc, wc, &bias, spec, zcode, enc);
-      ASSERT_TRUE(ecc.has_value());
-      EXPECT_EQ(bits_of(decoded(*ecc).data()),
+      const auto ecc = conv2d_codes_codes_enc(xc, wc, &bias, spec, zcode, enc);
+      EXPECT_EQ(bits_of(decoded(ecc).data()),
                 bits_of(act_quantized(ref_cc).data()));
-      // A non-finite activated output has no code: the fused ops refuse.
-      EXPECT_EQ(conv2d_codes_enc(x_inf, wc_inf, &bias, spec, enc).has_value(),
-                all_finite(act_quantized(ref_inf)));
+      // A non-finite activated output takes the NaN code, which decodes
+      // to the quantized float path's NaN.
       EXPECT_EQ(
-          conv2d_codes_codes_enc(*xc, wc_inf, &bias, spec, zcode, enc)
-              .has_value(),
-          all_finite(act_quantized(ref_cc_inf)));
+          bits_of(decoded(conv2d_codes_enc(x_inf, wc_inf, &bias, spec, enc))
+                      .data()),
+          bits_of(act_quantized(ref_inf).data()));
+      EXPECT_EQ(bits_of(decoded(conv2d_codes_codes_enc(xc, wc_inf, &bias, spec,
+                                                       zcode, enc))
+                            .data()),
+                bits_of(act_quantized(ref_cc_inf).data()));
     }
   }
 
@@ -631,12 +699,11 @@ TEST(CodesOps, DepthwiseDirectPathMatchesIm2colGemm) {
   Tensor ones({1, 2, 4, 5});
   for (float& v : ones.data()) v = 1.0F;
   const auto ones_c = PackedCodes::pack(ones.data(), ones.shape(), af, alut, 8);
-  ASSERT_TRUE(ones_c.has_value());
   const Tensor zero_bias({2});
   const Conv2dSpec spec{1, 1, 2};
   const Tensor ref = conv_by_im2col_matmul(ones, wod, zero_bias, spec);
   const Tensor ref_cc =
-      conv_by_im2col_matmul(decoded(*ones_c), wod, zero_bias, spec);
+      conv_by_im2col_matmul(decoded(ones_c), wod, zero_bias, spec);
   ASSERT_EQ(ref.at4(0, 1, 1, 2), 6.25F);
   for (const int threads : {1, 8}) {
     SCOPED_TRACE(::testing::Message() << "order, threads=" << threads);
@@ -647,38 +714,9 @@ TEST(CodesOps, DepthwiseDirectPathMatchesIm2colGemm) {
               bits_of(ref.data()));
     EXPECT_EQ(
         bits_of(
-            conv2d_codes_codes(*ones_c, wo, &zero_bias, spec, zcode).data()),
+            conv2d_codes_codes(ones_c, wo, &zero_bias, spec, zcode).data()),
         bits_of(ref_cc.data()));
   }
-}
-
-// --- runtime fallback ------------------------------------------------------
-
-TEST(CodesRuntime, NonFiniteWeightsFallBackToFloatPayload) {
-  nn::ZooOptions o;
-  o.input_size = 16;
-  o.classes = 8;
-  o.seed = 17;
-  nn::Model m = nn::build_tiny_cnn(o);
-  // Poison one slot: its weights quantize to NaN on the float path, which
-  // no code index can represent — the cache must fall back to a float
-  // tensor for that slot and stay packed everywhere else.
-  m.slot_list()[1]->weight[0] = kInf;
-
-  runtime::InferenceSession session(m);
-  std::vector<LPConfig> w(m.num_slots(), LPConfig{6, 1, 3, 0.5});
-  const auto prepared =
-      session.prepare(w, std::span<const LPConfig>());
-  EXPECT_EQ(prepared.codes()[1].get(), nullptr);
-  EXPECT_NE(prepared.weights()[1].get(), nullptr);
-  for (std::size_t s = 0; s < m.num_slots(); ++s) {
-    if (s == 1) continue;
-    EXPECT_NE(prepared.codes()[s].get(), nullptr) << "slot " << s;
-  }
-  const runtime::CacheStats st = session.stats();
-  EXPECT_EQ(st.packed_entries, st.entries - 1);
-  // The fallback float tensor is charged at full float32 size.
-  EXPECT_GT(st.bytes, st.lut_bytes);
 }
 
 }  // namespace

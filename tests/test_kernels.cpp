@@ -577,8 +577,7 @@ TEST_F(GemmBitEquality, EveryOperandFormMatchesNaiveLoop) {
               oracle::expect_matches(
                   want, c,
                   [&](float* out, std::int64_t r0, std::int64_t r1) {
-                    EXPECT_TRUE(t->gemm(oracle::args_for(f, c, bias, out),
-                                        r0, r1));
+                    t->gemm(oracle::args_for(f, c, bias, out), r0, r1);
                   },
                   std::string(t->name) + " " + f.name + " bits=" +
                       std::to_string(bits) + " offset=" +
@@ -806,10 +805,10 @@ TEST(PlamGemm, DotProductErrorWithinLinearBound) {
                             static_cast<const float*>(bias.data())}) {
       const kernels::Operand a_op{a.data(), {}};
       const kernels::Operand b_op{nullptr, view};
-      ASSERT_TRUE(kernels::scalar_kernels().gemm(
-          {a_op, b_op, true, bp, c_ref.data(), nullptr, s.k, s.n}, 0, s.m));
-      ASSERT_TRUE(kernels::plam::gemm(
-          {a_op, b_op, true, bp, c_plam.data(), nullptr, s.k, s.n}, 0, s.m));
+      kernels::scalar_kernels().gemm(
+          {a_op, b_op, true, bp, c_ref.data(), nullptr, s.k, s.n}, 0, s.m);
+      kernels::plam::gemm(
+          {a_op, b_op, true, bp, c_plam.data(), nullptr, s.k, s.n}, 0, s.m);
       for (std::int64_t i = 0; i < s.m; ++i) {
         for (std::int64_t j = 0; j < s.n; ++j) {
           double sumabs = 0.0;
@@ -855,14 +854,12 @@ TEST(PlamGemm, CodedAOperandMatchesDecodedAOperand) {
 
   const std::size_t cn = static_cast<std::size_t>(s.m * s.n);
   std::vector<float> c_float_a(cn), c_coded_a(cn);
-  ASSERT_TRUE(kernels::plam::gemm(
-      {{a_dec.data(), {}}, {nullptr, bv}, true, nullptr, c_float_a.data(),
-       nullptr, s.k, s.n},
-      0, s.m));
-  ASSERT_TRUE(kernels::plam::gemm(
-      {{nullptr, av}, {nullptr, bv}, true, nullptr, c_coded_a.data(), nullptr,
-       s.k, s.n},
-      0, s.m));
+  kernels::plam::gemm({{a_dec.data(), {}}, {nullptr, bv}, true, nullptr,
+                       c_float_a.data(), nullptr, s.k, s.n},
+                      0, s.m);
+  kernels::plam::gemm({{nullptr, av}, {nullptr, bv}, true, nullptr,
+                       c_coded_a.data(), nullptr, s.k, s.n},
+                      0, s.m);
   EXPECT_TRUE(bitwise_equal(c_float_a.data(), c_coded_a.data(), s.m * s.n));
 }
 
@@ -887,8 +884,8 @@ TEST(PlamGemm, MatchesNaiveMitchellLoop) {
             oracle::expect_matches(
                 want, c,
                 [&](float* out, std::int64_t r0, std::int64_t r1) {
-                  EXPECT_TRUE(kernels::plam::gemm(
-                      oracle::args_for(f, c, bias, out), r0, r1));
+                  kernels::plam::gemm(oracle::args_for(f, c, bias, out), r0,
+                                      r1);
                 },
                 std::string("plam ") + f.name + " bits=" +
                     std::to_string(bits) + " offset=" +
@@ -932,14 +929,13 @@ TEST(PlamGemm, CrossValidatesAgainstLpaDatapathSim) {
   }
   auto lut = build_decode_table(af);
   ASSERT_NE(lut, nullptr);
-  auto codes = PackedCodes::pack(xt.data(), xt.shape(), af, lut, 8);
-  ASSERT_TRUE(codes.has_value());
+  const PackedCodes codes = PackedCodes::pack(xt.data(), xt.shape(), af, lut, 8);
   Tensor xtq(xt.shape());
-  codes->decode(xtq.data());
+  codes.decode(xtq.data());
 
-  const Tensor exact = matmul_nt_codes(wq, *codes, nullptr);
+  const Tensor exact = matmul_nt_codes(wq, codes, nullptr);
   const Tensor plam =
-      matmul_nt_codes(wq, *codes, nullptr, kernels::ApproxMode::kPlam);
+      matmul_nt_codes(wq, codes, nullptr, kernels::ApproxMode::kPlam);
 
   // Same quantized operands, same double ascending-k accumulation: the
   // exact coded kernel must reproduce the lpa reference bit-for-bit.
