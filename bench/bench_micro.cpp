@@ -110,8 +110,10 @@ BENCHMARK(BM_QuantizeBatchPath)->Arg(1 << 20);
 // use automatic sizing (LP_THREADS / hardware_concurrency).  The outputs
 // are bit-identical between the two — only the wall clock moves.
 
-/// ResNet-ish GEMM stack: conv-as-GEMM shapes from a CIFAR ResNet18 trunk
-/// (m = Cout, k = Cin*3*3, n = Hout*Wout).
+/// GEMM stack: [k,n]-layout matmul on ResNet-style 3x3 convs' GEMM shapes
+/// (m = Cout, k = Cin*3*3, n = Hout*Wout).  Convolution itself does not
+/// run through matmul (BM_Conv* below times it); of the forward ops only
+/// attention's scores x V does.
 void run_resnet_gemm_stack(const std::vector<Tensor>& as,
                            const std::vector<Tensor>& bs) {
   for (std::size_t i = 0; i < as.size(); ++i) {
@@ -160,6 +162,62 @@ void BM_GemmPool(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * stack.flops());
 }
 BENCHMARK(BM_GemmPool)->Unit(benchmark::kMillisecond);
+
+/// The CIFAR ResNet-18 trunk's four 3x3 conv shapes (16, 32, 64 and 128
+/// channels at 32, 16, 8 and 4 px; stride 1, padding 1) as
+/// conv2d_codes_codes_enc layers: 4-bit LP weights, 8-bit activation codes
+/// in and out, bias, relu.  Arg is the batch.
+struct ConvStack {
+  LPFormat wf{LPConfig{4, 1, 2, 2.0}};
+  LPFormat af{LPConfig{8, 2, 4, 0.0}};
+  std::shared_ptr<const DecodeTable> wlut = build_decode_table(wf);
+  std::shared_ptr<const DecodeTable> alut = build_decode_table(af);
+  ActEncodeSpec enc{af.quant_index()->view(), alut, 8, kernels::kActRelu};
+  std::uint32_t zero_code = static_cast<std::uint32_t>(lut_zero_code(*alut));
+  std::vector<PackedCodes> inputs, weights;
+  std::vector<Tensor> biases;
+  std::int64_t flops = 0;
+
+  explicit ConvStack(std::int64_t batch) {
+    Rng rng(5);
+    for (const std::int64_t c : {16, 32, 64, 128}) {
+      const std::int64_t px = 512 / c;
+      Tensor x({batch, c, px, px});
+      Tensor w({c, c, 3, 3});
+      Tensor b({c});
+      for (float& v : x.data()) v = static_cast<float>(rng.gaussian());
+      for (float& v : w.data()) v = static_cast<float>(rng.gaussian(0.0, 0.3));
+      for (float& v : b.data()) v = static_cast<float>(rng.gaussian(0.0, 0.1));
+      inputs.push_back(PackedCodes::pack(x.data(), x.shape(), af, alut, 8));
+      weights.push_back(PackedCodes::pack(w.data(), w.shape(), wf, wlut));
+      biases.push_back(std::move(b));
+      flops += 2 * c * c * 9 * batch * px * px;
+    }
+  }
+
+  void run() const {
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      benchmark::DoNotOptimize(
+          conv2d_codes_codes_enc(inputs[i], weights[i], &biases[i],
+                                 {1, 1, 1}, zero_code, enc)
+              .numel());
+    }
+  }
+};
+
+void run_conv_stack(benchmark::State& state, int threads) {
+  const ConvStack stack(state.range(0));
+  set_default_pool_threads(threads);
+  for (auto _ : state) stack.run();
+  state.SetItemsProcessed(state.iterations() * stack.flops);
+  set_default_pool_threads(0);
+}
+
+void BM_ConvSerial(benchmark::State& state) { run_conv_stack(state, 1); }
+BENCHMARK(BM_ConvSerial)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
+void BM_ConvPool(benchmark::State& state) { run_conv_stack(state, 0); }
+BENCHMARK(BM_ConvPool)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
 /// Batched LP quantization of a 1M-element tensor; Arg is the pool-size
 /// override (1 = serial baseline, 0 = automatic).
@@ -575,9 +633,9 @@ BENCHMARK(BM_QuantizedForward);
 // float bytes it replaced at 8-bit activation formats (the counters make
 // the ratio auditable per run).
 //
-// The model argument picks the trunk: 0 = ResNet-18 (dense 3x3 convs,
-// the im2col + GEMM path), 1 = MobileNetV2 (17 depthwise convs on the
-// direct path, plus 1x1 GEMMs).
+// The model argument picks the trunk: 0 = ResNet-18 (dense 3x3 convs on
+// the tiled gather + GEMM pass), 1 = MobileNetV2 (17 depthwise convs on
+// the direct path, plus dense 1x1 convs).
 
 constexpr const char* kForwardActsModels[] = {"resnet18", "mobilenetv2"};
 

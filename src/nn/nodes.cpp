@@ -176,9 +176,9 @@ NodeValue Conv2dNode::run(std::span<const NodeValue* const> x,
       icodes != nullptr ? lut_zero_code(*icodes->lut()) : -1;
   const bool coded_in = zc >= 0;
 
-  // Coded weights, coded output: bias+act+encode run fused in the conv
-  // scatter, so the output never materializes as floats — whether the
-  // patches gather as codes or from a dense input.
+  // Coded weights, coded output: each conv tile adds bias, activates and
+  // encodes its own outputs, so the output never materializes as floats —
+  // whether the input is coded or dense.
   if (p.codes != nullptr && coding != nullptr) {
     const ActEncodeSpec enc = encode_spec(*coding, act_kernel(act_));
     PackedCodes out =

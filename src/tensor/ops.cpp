@@ -207,141 +207,150 @@ std::optional<PackedCodes> encode_acts(const Tensor& t,
 std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
                           std::int64_t stride, std::int64_t padding) {
   LP_CHECK(stride >= 1 && kernel >= 1 && padding >= 0);
-  const std::int64_t out = (in + 2 * padding - kernel) / stride + 1;
-  LP_CHECK_MSG(out >= 1, "conv output dim <= 0 (in=" << in << " k=" << kernel
-                                                     << " s=" << stride
-                                                     << " p=" << padding << ")");
-  return out;
+  // Checked before dividing: the division truncates toward zero, so a
+  // window wider than the padded input would otherwise get one output
+  // position whenever the stride exceeds the overhang.
+  LP_CHECK_MSG(in + 2 * padding >= kernel,
+               "conv kernel wider than the padded input (in="
+                   << in << " k=" << kernel << " s=" << stride
+                   << " p=" << padding << ")");
+  return (in + 2 * padding - kernel) / stride + 1;
 }
+
+namespace {
+
+/// A conv's window geometry over one channel plane of `input`: the
+/// depthwise kernel's DepthwiseShape, which the patch walk shares.
+template <typename Input>
+kernels::detail::DepthwiseShape patch_geom(const Input& input, std::int64_t kh,
+                                           std::int64_t kw,
+                                           const Conv2dSpec& spec) {
+  LP_CHECK(input.rank() == 4);
+  const std::int64_t h = input.dim(2);
+  const std::int64_t w = input.dim(3);
+  return {h, w, kh, kw, spec.stride, spec.padding,
+          conv_out_dim(h, kh, spec.stride, spec.padding),
+          conv_out_dim(w, kw, spec.stride, spec.padding)};
+}
+
+/// The one (c, ky, kx) -> input-offset walk, behind im2col, im2col_codes
+/// and the conv tiles' gather.  Patch row (c, ky, kx) at output pixel
+/// p = oy * wo + ox reads (oy * stride - padding + ky,
+/// ox * stride - padding + kx) of channel c, or padding outside the plane.
+/// For pixels [p0, p1) of one image it lists once per tap (ky, kx) the
+/// offset inside a plane that each pixel reads, -1 for padding, then calls
+/// put(row, base, offs) for the rows of `c_count` consecutive channel
+/// planes, the first at input element `base0`, in ascending (c, ky, kx):
+/// column j of the row reads input element base + offs[j], or padding
+/// when offs[j] < 0.
+template <typename Put>
+void walk_patches(const kernels::detail::DepthwiseShape& g, std::int64_t base0,
+                  std::int64_t c_count, std::int64_t p0, std::int64_t p1,
+                  Put&& put) {
+  const std::int64_t taps = g.kh * g.kw;
+  const std::int64_t cols = p1 - p0;
+  thread_local std::vector<std::int64_t> offs;
+  offs.resize(static_cast<std::size_t>(taps * cols));
+  for (std::int64_t t = 0; t < taps; ++t) {
+    const std::int64_t ky = t / g.kw;
+    const std::int64_t kx = t % g.kw;
+    std::int64_t* o = offs.data() + t * cols;
+    std::int64_t oy = p0 / g.wo;
+    std::int64_t ox = p0 % g.wo;
+    for (std::int64_t j = 0; j < cols; ++j) {
+      const std::int64_t iy = oy * g.stride - g.padding + ky;
+      const std::int64_t ix = ox * g.stride - g.padding + kx;
+      o[j] = (iy >= 0 && iy < g.h && ix >= 0 && ix < g.w) ? iy * g.w + ix
+                                                          : -1;
+      if (++ox == g.wo) {
+        ox = 0;
+        ++oy;
+      }
+    }
+  }
+  for (std::int64_t c = 0; c < c_count; ++c) {
+    for (std::int64_t t = 0; t < taps; ++t) {
+      put(c * taps + t, base0 + c * g.h * g.w, offs.data() + t * cols);
+    }
+  }
+}
+
+// Storage-form hooks of the conv paths, overloaded on float tensor vs
+// packed codes so one core serves all five conv ops.
+
+/// dst[j] = input element base + offs[j] as a float — a tensor's own, or a
+/// code decoded through its LUT (the float the GEMM kernels decode it to)
+/// — or +0.0f where offs[j] < 0 (padding).
+void gather(const Tensor& input, float* dst, std::int64_t base,
+            const std::int64_t* offs, std::int64_t len) {
+  const float* src = input.raw() + base;
+  for (std::int64_t j = 0; j < len; ++j) {
+    dst[j] = offs[j] < 0 ? 0.0F : src[offs[j]];
+  }
+}
+
+void gather(const PackedCodes& input, float* dst, std::int64_t base,
+            const std::int64_t* offs, std::int64_t len) {
+  const kernels::PackedCodesView v = input.view(base);
+  for (std::int64_t j = 0; j < len; ++j) {
+    dst[j] = offs[j] < 0 ? 0.0F : kernels::packed_decode_at(v, offs[j]);
+  }
+}
+
+}  // namespace
 
 Tensor im2col(const Tensor& input, std::int64_t c_begin, std::int64_t c_count,
               std::int64_t kh, std::int64_t kw, const Conv2dSpec& spec) {
-  LP_CHECK(input.rank() == 4);
-  const std::int64_t n = input.dim(0);
-  const std::int64_t c_total = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  LP_CHECK(c_begin >= 0 && c_begin + c_count <= c_total);
-  const std::int64_t ho = conv_out_dim(h, kh, spec.stride, spec.padding);
-  const std::int64_t wo = conv_out_dim(w, kw, spec.stride, spec.padding);
-  Tensor cols({c_count * kh * kw, n * ho * wo});
-  float* dst = cols.raw();
-  const std::int64_t col_width = n * ho * wo;
-  const std::int64_t patch_rows = c_count * kh * kw;
-  // Each patch row writes a disjoint output row — parallel over rows.
-  auto fill_rows = [&](std::int64_t row_begin, std::int64_t row_end,
-                       std::int64_t) {
-    for (std::int64_t row = row_begin; row < row_end; ++row) {
-      const std::int64_t cc = row / (kh * kw);
-      const std::int64_t ky = (row / kw) % kh;
-      const std::int64_t kx = row % kw;
-      float* out_row = dst + row * col_width;
-      std::int64_t col = 0;
-      for (std::int64_t b = 0; b < n; ++b) {
-        const float* chan = input.raw() + ((b * c_total + c_begin + cc) * h) * w;
-        for (std::int64_t oy = 0; oy < ho; ++oy) {
-          const std::int64_t iy = oy * spec.stride - spec.padding + ky;
-          const bool y_ok = iy >= 0 && iy < h;
-          for (std::int64_t ox = 0; ox < wo; ++ox, ++col) {
-            const std::int64_t ix = ox * spec.stride - spec.padding + kx;
-            out_row[col] =
-                (y_ok && ix >= 0 && ix < w) ? chan[iy * w + ix] : 0.0F;
-          }
-        }
-      }
-    }
-  };
-  for_row_blocks(patch_rows * col_width, kRowsSerialBelow, patch_rows,
-                 fill_rows);
+  const kernels::detail::DepthwiseShape g = patch_geom(input, kh, kw, spec);
+  LP_CHECK(c_begin >= 0 && c_count >= 0 && c_begin + c_count <= input.dim(1));
+  const std::int64_t hw = g.ho * g.wo;
+  const std::int64_t width = input.dim(0) * hw;
+  Tensor cols({c_count * kh * kw, width});
+  for (std::int64_t b = 0; b < input.dim(0); ++b) {
+    walk_patches(g, (b * input.dim(1) + c_begin) * g.h * g.w, c_count, 0, hw,
+                 [&](std::int64_t row, std::int64_t base,
+                     const std::int64_t* offs) {
+                   gather(input, cols.raw() + row * width + b * hw, base, offs,
+                          hw);
+                 });
+  }
   return cols;
 }
 
 PackedCodes im2col_codes(const PackedCodes& input, std::int64_t c_begin,
                          std::int64_t c_count, std::int64_t kh, std::int64_t kw,
                          const Conv2dSpec& spec, std::uint32_t zero_code) {
-  LP_CHECK(input.rank() == 4);
+  const kernels::detail::DepthwiseShape g = patch_geom(input, kh, kw, spec);
+  LP_CHECK(c_begin >= 0 && c_count >= 0 && c_begin + c_count <= input.dim(1));
   const int bits = input.code_bits();
   LP_CHECK_MSG(bits == 8 || bits == 16,
                "coded im2col needs byte-aligned codes, got " << bits << "-bit");
   LP_CHECK(static_cast<std::size_t>(zero_code) < input.lut()->size());
-  const std::int64_t n = input.dim(0);
-  const std::int64_t c_total = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  LP_CHECK(c_begin >= 0 && c_begin + c_count <= c_total);
-  const std::int64_t ho = conv_out_dim(h, kh, spec.stride, spec.padding);
-  const std::int64_t wo = conv_out_dim(w, kw, spec.stride, spec.padding);
-  const std::int64_t col_width = n * ho * wo;
-  const std::int64_t patch_rows = c_count * kh * kw;
-  std::vector<std::uint8_t> out(
-      PackedCodes::stream_bytes(patch_rows * col_width, bits));
-  std::uint8_t* dst = out.data();
+  const std::int64_t rows = c_count * kh * kw;
+  const std::int64_t hw = g.ho * g.wo;
+  const std::int64_t width = input.dim(0) * hw;
+  std::vector<std::uint8_t> out(PackedCodes::stream_bytes(rows * width, bits));
   const kernels::PackedCodesView iv = input.view();
-  // Same row order and padding positions as the float im2col; rows write
-  // disjoint byte ranges (codes are byte-aligned), so parallel rows are
-  // race-free.
-  auto fill_rows = [&](std::int64_t row_begin, std::int64_t row_end,
-                       std::int64_t) {
-    for (std::int64_t row = row_begin; row < row_end; ++row) {
-      const std::int64_t cc = row / (kh * kw);
-      const std::int64_t ky = (row / kw) % kh;
-      const std::int64_t kx = row % kw;
-      std::int64_t col = row * col_width;
-      for (std::int64_t b = 0; b < n; ++b) {
-        const std::int64_t chan = ((b * c_total + c_begin + cc) * h) * w;
-        for (std::int64_t oy = 0; oy < ho; ++oy) {
-          const std::int64_t iy = oy * spec.stride - spec.padding + ky;
-          const bool y_ok = iy >= 0 && iy < h;
-          for (std::int64_t ox = 0; ox < wo; ++ox, ++col) {
-            const std::int64_t ix = ox * spec.stride - spec.padding + kx;
-            const std::uint32_t code =
-                (y_ok && ix >= 0 && ix < w)
-                    ? kernels::packed_code_at(iv, chan + iy * w + ix)
-                    : zero_code;
-            kernels::packed_code_write(dst, bits, col, code);
+  for (std::int64_t b = 0; b < input.dim(0); ++b) {
+    walk_patches(
+        g, (b * input.dim(1) + c_begin) * g.h * g.w, c_count, 0, hw,
+        [&](std::int64_t row, std::int64_t base, const std::int64_t* offs) {
+          for (std::int64_t j = 0; j < hw; ++j) {
+            kernels::packed_code_write(
+                out.data(), bits, row * width + b * hw + j,
+                offs[j] < 0 ? zero_code
+                            : kernels::packed_code_at(iv, base + offs[j]));
           }
-        }
-      }
-    }
-  };
-  for_row_blocks(patch_rows * col_width, kRowsSerialBelow, patch_rows,
-                 fill_rows);
-  return PackedCodes::from_codes(std::move(out), {patch_rows, col_width}, bits,
+        });
+  }
+  return PackedCodes::from_codes(std::move(out), {rows, width}, bits,
                                  input.lut());
 }
 
 namespace {
 
-// Storage-form hooks of conv2d_core, overloaded on float tensor vs packed
-// codes so one core serves all five conv ops.
-
-/// The group's patch matrix: float im2col, or coded im2col padding with
-/// `zero_code`.
-Tensor group_patches(const Tensor& input, std::int64_t c_begin,
-                     std::int64_t c_count, std::int64_t kh, std::int64_t kw,
-                     const Conv2dSpec& spec, std::uint32_t /*zero_code*/) {
-  return im2col(input, c_begin, c_count, kh, kw, spec);
-}
-
-PackedCodes group_patches(const PackedCodes& input, std::int64_t c_begin,
-                          std::int64_t c_count, std::int64_t kh,
-                          std::int64_t kw, const Conv2dSpec& spec,
-                          std::uint32_t zero_code) {
-  return im2col_codes(input, c_begin, c_count, kh, kw, spec, zero_code);
-}
-
-/// result[m, n] = W * cols, W the [m, k] weight rows from element `w0`.
-template <typename Weight, typename Cols>
-void group_gemm(const Weight& weight, std::int64_t w0, const Cols& cols,
-                float* result, std::int64_t m, std::int64_t k,
-                std::int64_t n) {
-  gemm_parallel({operand(weight, w0), operand(cols), false, nullptr, result,
-                 nullptr, k, n},
-                m);
-}
-
-/// `count` elements from element `e0` as floats: a tensor's own storage,
-/// or codes decoded through their LUT into `dst`.
+/// `count` elements from element `e0` on as floats: a tensor's own
+/// storage, or codes decoded through their LUT into `dst`.
 const float* elems(const Tensor& t, std::int64_t e0, std::int64_t /*count*/,
                    float* /*dst*/) {
   return t.raw() + e0;
@@ -357,7 +366,7 @@ const float* elems(const PackedCodes& t, std::int64_t e0, std::int64_t count,
 }
 
 /// Padding must decode to the float im2col's exact +0.0f: the coded
-/// im2col gathers `zero_code`, the direct path reads +0.0f itself.
+/// im2col gathers `zero_code`, the conv paths write +0.0f themselves.
 void check_zero_code(const Tensor& /*input*/, std::uint32_t /*zero_code*/) {}
 
 void check_zero_code(const PackedCodes& input, std::uint32_t zero_code) {
@@ -367,10 +376,11 @@ void check_zero_code(const PackedCodes& input, std::uint32_t zero_code) {
                "zero_code " << zero_code << " does not decode to +0.0f");
 }
 
-/// Thread-local scratch for the direct path: the result row plus decoded
-/// input plane and taps.  Separate from kernels::detail::fused_scratch,
-/// which the encode sink stages `row + bias` into.
-float* direct_scratch(std::int64_t count) {
+/// Thread-local scratch for the conv paths: a tile's patch block and
+/// result, or a depthwise channel's row, plane and taps.  Separate from
+/// kernels::detail::fused_scratch, which the GEMM kernels stage fused rows
+/// into.
+float* conv_scratch(std::int64_t count) {
   thread_local std::vector<float> buf;
   if (static_cast<std::int64_t>(buf.size()) < count) {
     buf.resize(static_cast<std::size_t>(count));
@@ -378,170 +388,232 @@ float* direct_scratch(std::int64_t count) {
   return buf.data();
 }
 
-/// The one conv2d body, for float or coded input and weights.  Each
-/// output channel's [N*Ho*Wo] result row (batch-major, im2col column
-/// order) goes to a strided sink from `make_write(out_shape)`:
-/// write(e, stride, run, nruns, src, bias_v) lands contiguous
-/// src[r*run + i] + bias_v at output element e + r*stride + i — one call
-/// per output channel, destinations striding by one NCHW plane.  The
-/// plain sink writes floats into an NCHW tensor, the fused one
-/// batch-encodes through the epilogue.
-///
-/// Rows come from one of two paths, chosen by the weight shape:
-///  - Cin/groups == 1 (depthwise): kernels::detail::depthwise_conv_plane
-///    per output channel and batch image, over the channel's input plane
-///    (decoded once into scratch when coded) and its kh*kw decoded taps.
-///    Output channels split across the pool; no im2col, no per-group
-///    allocation.
-///  - otherwise: per group, the patch matrix and one GEMM of the weight
-///    slice against it.
-/// The direct loop is the GEMM reference's arithmetic on a one-row
-/// patch matrix, so both paths, and every storage form, round the same.
-template <typename Input, typename Weight, typename MakeWrite>
-void conv2d_core(const Input& input, const Weight& weight, const Tensor* bias,
-                 const Conv2dSpec& spec, std::uint32_t zero_code,
-                 MakeWrite&& make_write) {
+/// Adds channel oc0 + r's bias, or +0.0f without one, to row r of the
+/// [rows, cols] block `v`, in float after the GEMM's rounding.
+void add_bias(float* v, std::int64_t rows, std::int64_t cols,
+              const Tensor* bias, std::int64_t oc0) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float bias_v = (bias != nullptr) ? (*bias)[oc0 + r] : 0.0F;
+    for (std::int64_t j = 0; j < cols; ++j) v[r * cols + j] += bias_v;
+  }
+}
+
+/// Where a conv's finished output blocks land: floats at `f`, or — with
+/// `ep` — only codes, each block run once through the fused epilogue
+/// (act + nearest-index encode, in place on the block).
+struct ConvSink {
+  float* f = nullptr;
+  const kernels::ActEncode* ep = nullptr;
+
+  /// Lands src[r*run + i] at output element e + r*stride + i.
+  void write(std::int64_t e, std::int64_t stride, std::int64_t run,
+             std::int64_t nruns, float* src) const {
+    if (ep != nullptr) {
+      kernels::detail::encode_strided_block(*ep, src, run * nruns, e, stride,
+                                            run);
+      return;
+    }
+    for (std::int64_t r = 0; r < nruns; ++r) {
+      std::copy_n(src + r * run, run, f + e + r * stride);
+    }
+  }
+};
+
+/// A checked convolution's shape.
+struct ConvShape {
+  kernels::detail::DepthwiseShape geom;
+  std::int64_t n, cin, cout, cg_in, cg_out, k;
+  [[nodiscard]] std::vector<std::int64_t> out() const {
+    return {n, cout, geom.ho, geom.wo};
+  }
+};
+
+template <typename Input, typename Weight>
+ConvShape conv_shape(const Input& input, const Weight& weight,
+                     const Tensor* bias, const Conv2dSpec& spec,
+                     std::uint32_t zero_code) {
   LP_CHECK(input.rank() == 4 && weight.rank() == 4);
-  const std::int64_t n = input.dim(0);
   const std::int64_t cin = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
   const std::int64_t cout = weight.dim(0);
-  const std::int64_t kh = weight.dim(2);
-  const std::int64_t kw = weight.dim(3);
   LP_CHECK(spec.groups >= 1);
   LP_CHECK_MSG(cin % spec.groups == 0 && cout % spec.groups == 0,
                "groups must divide channels");
-  LP_CHECK_MSG(weight.dim(1) == cin / spec.groups,
-               "weight Cin/groups mismatch: " << weight.dim(1) << " vs "
-                                              << cin / spec.groups);
+  const std::int64_t cg_in = cin / spec.groups;
+  LP_CHECK_MSG(weight.dim(1) == cg_in, "weight Cin/groups mismatch: "
+                                           << weight.dim(1) << " vs " << cg_in);
   if (bias != nullptr) LP_CHECK(bias->rank() == 1 && bias->dim(0) == cout);
   check_zero_code(input, zero_code);
+  return {patch_geom(input, weight.dim(2), weight.dim(3), spec),
+          input.dim(0),
+          cin,
+          cout,
+          cg_in,
+          cout / spec.groups,
+          cg_in * weight.dim(2) * weight.dim(3)};
+}
 
-  const std::int64_t ho = conv_out_dim(h, kh, spec.stride, spec.padding);
-  const std::int64_t wo = conv_out_dim(w, kw, spec.stride, spec.padding);
-  const std::int64_t cg_in = cin / spec.groups;
-  const std::int64_t cg_out = cout / spec.groups;
-  const std::int64_t k = cg_in * kh * kw;
-  const std::int64_t col_width = n * ho * wo;
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
+  return (a + b - 1) / b;
+}
 
-  auto write = make_write(std::vector<std::int64_t>{n, cout, ho, wo});
-  auto emit = [&](std::int64_t oc, const float* row) {
-    const float bias_v = (bias != nullptr) ? (*bias)[oc] : 0.0F;
-    write(oc * ho * wo, cout * ho * wo, ho * wo, n, row, bias_v);
-  };
+/// A dense conv's tile grid: tiles of `rows` output channels by `cols`
+/// output pixels inside one (group, image) plane, a plane's last row and
+/// column block possibly shorter.
+struct ConvTiles {
+  std::int64_t rows, cols, row_blocks, col_blocks;
+};
+
+/// Rows of a tile below which splitting output channels stops once every
+/// pool thread has a tile: each row block gathers its patch block again,
+/// and below this many rows that gather outweighs the tile's GEMM.
+constexpr std::int64_t kMinTileRows = 32;
+
+/// Starts from one tile per plane and halves the longer side until there
+/// are about four tiles per pool thread (`threads` = 0 keeps one tile per
+/// plane).  Column extents stay multiples of 16, the SIMD kernels' panel
+/// width, so only a plane's last tile has edge columns.
+ConvTiles conv_tiles(std::int64_t cg_out, std::int64_t hw, std::int64_t planes,
+                     int threads) {
+  std::int64_t rows = cg_out;
+  std::int64_t cols = hw;
+  for (;;) {
+    const std::int64_t tiles =
+        planes * ceil_div(cg_out, rows) * ceil_div(hw, cols);
+    if (tiles >= 4 * threads) break;
+    const std::int64_t half_cols = ceil_div(ceil_div(cols, 2), 16) * 16;
+    const bool split_cols = half_cols < cols;
+    const bool split_rows =
+        rows > 1 && (rows > kMinTileRows || tiles < threads);
+    if (split_cols && (cols >= rows || !split_rows)) {
+      cols = half_cols;
+    } else if (split_rows) {
+      rows = ceil_div(rows, 2);
+    } else {
+      break;
+    }
+  }
+  return {rows, cols, ceil_div(cg_out, rows), ceil_div(hw, cols)};
+}
+
+/// The one conv2d body, for float or coded input and weights.  The weight
+/// shape picks the path:
+///  - Cin/groups == 1 (depthwise): kernels::detail::depthwise_conv_plane
+///    per output channel and image, over the channel's input plane
+///    (decoded once into scratch when coded) and its kh*kw decoded taps;
+///    output channels split across the pool.
+///  - otherwise: one pooled pass over conv_tiles' grid, each tile one
+///    (group, image, block of output channels, block of output pixels).  A
+///    tile gathers its own K x cols patch block as floats, runs the
+///    dispatched GEMM of its weight rows against it and finishes its own
+///    outputs: no patch matrix, no float result buffer, no scatter pass.
+/// Either way an output element is a +0.0-seeded double sum of its
+/// products in ascending (c, ky, kx), zero weights skipped, rounded once,
+/// then add_bias — so both paths, any tiling and every storage form round
+/// the same.
+template <typename Input, typename Weight>
+void conv2d_core(const Input& input, const Weight& weight, const Tensor* bias,
+                 const Conv2dSpec& spec, const ConvShape& s,
+                 const ConvSink& out) {
+  const auto& [geom, n, cin, cout, cg_in, cg_out, k] = s;
+  const std::int64_t plane_len = geom.h * geom.w;
+  const std::int64_t hw = geom.ho * geom.wo;
+  const std::int64_t col_width = n * hw;
 
   if (cg_in == 1) {
-    const kernels::detail::DepthwiseShape shape{
-        h, w, kh, kw, spec.stride, spec.padding, ho, wo};
     auto channels = [&](std::int64_t oc_begin, std::int64_t oc_end,
                         std::int64_t) {
-      float* const row = direct_scratch(col_width + h * w + k);
+      float* const row = conv_scratch(col_width + plane_len + k);
       float* const plane = row + col_width;
-      float* const taps = plane + h * w;
+      float* const taps = plane + plane_len;
       for (std::int64_t oc = oc_begin; oc < oc_end; ++oc) {
         const float* wts = elems(weight, oc * k, k, taps);
         const std::int64_t c = oc / cg_out;
         for (std::int64_t b = 0; b < n; ++b) {
           kernels::detail::depthwise_conv_plane(
-              elems(input, (b * cin + c) * h * w, h * w, plane), wts, shape,
-              row + b * ho * wo);
+              elems(input, (b * cin + c) * plane_len, plane_len, plane), wts,
+              geom, row + b * hw);
         }
-        emit(oc, row);
+        add_bias(row, 1, col_width, bias, oc);
+        out.write(oc * hw, cout * hw, hw, n, row);
       }
     };
     for_row_blocks(cout * k * col_width, kGemmSerialBelow, cout, channels);
     return;
   }
+  if (cg_out == 0) return;  // no output channels, so no tiles
 
-  for (std::int64_t g = 0; g < spec.groups; ++g) {
-    const auto cols =
-        group_patches(input, g * cg_in, cg_in, kh, kw, spec, zero_code);
-    std::vector<float> result(static_cast<std::size_t>(cg_out * col_width));
-    group_gemm(weight, g * cg_out * k, cols, result.data(), cg_out, k,
-               col_width);
-    // Output channels write disjoint planes — parallel over oc.
-    auto scatter = [&](std::int64_t oc_begin, std::int64_t oc_end,
-                       std::int64_t) {
-      for (std::int64_t oc = oc_begin; oc < oc_end; ++oc) {
-        emit(g * cg_out + oc, result.data() + oc * col_width);
-      }
-    };
-    for_row_blocks(cg_out * col_width, kRowsSerialBelow, cg_out, scatter);
+  const bool serial = cout * k * col_width < kGemmSerialBelow;
+  ThreadPool& pool = default_pool();
+  const ConvTiles t = conv_tiles(cg_out, hw, spec.groups * n,
+                                 serial ? 0 : pool.thread_count());
+  const kernels::GemmFn gemm = kernels::dispatch().gemm;
+  auto tile = [&](std::int64_t ti) {
+    const std::int64_t p0 = (ti % t.col_blocks) * t.cols;
+    const std::int64_t r0 = (ti / t.col_blocks % t.row_blocks) * t.rows;
+    const std::int64_t plane = ti / (t.col_blocks * t.row_blocks);
+    const std::int64_t g = plane % spec.groups;
+    const std::int64_t b = plane / spec.groups;
+    const std::int64_t cols = std::min(t.cols, hw - p0);
+    const std::int64_t rows = std::min(t.rows, cg_out - r0);
+    const std::int64_t oc0 = g * cg_out + r0;
+    float* const patches = conv_scratch((k + rows) * cols);
+    float* const result = patches + k * cols;
+    walk_patches(geom, (b * cin + g * cg_in) * plane_len, cg_in, p0,
+                 p0 + cols,
+                 [&](std::int64_t row, std::int64_t base,
+                     const std::int64_t* offs) {
+                   gather(input, patches + row * cols, base, offs, cols);
+                 });
+    gemm({operand(weight, oc0 * k), {patches, {}}, false, nullptr, result,
+          nullptr, k, cols},
+         0, rows);
+    add_bias(result, rows, cols, bias, oc0);
+    out.write((b * cout + oc0) * hw + p0, hw, cols, rows, result);
+  };
+  const std::int64_t tiles = spec.groups * n * t.row_blocks * t.col_blocks;
+  if (serial) {
+    for (std::int64_t ti = 0; ti < tiles; ++ti) tile(ti);
+  } else {
+    pool.run_chunks(tiles, tile);
   }
 }
 
-/// Sink factory writing raw floats into a fresh NCHW tensor — the plain
-/// (unfused) conv2d output path.
-auto tensor_sink(Tensor& out) {
-  return [&out](std::vector<std::int64_t> shape) {
-    out = Tensor(std::move(shape));
-    float* raw = out.raw();
-    return [raw](std::int64_t e, std::int64_t stride, std::int64_t run,
-                 std::int64_t nruns, const float* src, float bias_v) {
-      for (std::int64_t r = 0; r < nruns; ++r) {
-        float* dst = raw + e + r * stride;
-        const float* s = src + r * run;
-        for (std::int64_t i = 0; i < run; ++i) dst[i] = s[i] + bias_v;
-      }
-    };
-  };
+/// The float conv ops' body.
+template <typename Input, typename Weight>
+Tensor conv2d_floats(const Input& input, const Weight& weight,
+                     const Tensor* bias, const Conv2dSpec& spec,
+                     std::uint32_t zero_code) {
+  const ConvShape s = conv_shape(input, weight, bias, spec, zero_code);
+  Tensor out(s.out());
+  conv2d_core(input, weight, bias, spec, s, {out.raw(), nullptr});
+  return out;
 }
 
-/// Sink factory for the fused ops: sizes the `codes` stream to the output
-/// shape (recorded in `out_shape`) and encodes through `ep`.  Each call
-/// bias-adds the channel row into kernel scratch, runs the batched
-/// epilogue (act + SIMD nearest-index search) once, then scatters codes
-/// per batch-image plane — element-for-element the codes encode_row_block
-/// writes for src[r*run+i] + bias_v at e+r*stride+i.
-auto encode_sink(std::vector<std::uint8_t>& codes,
-                 std::vector<std::int64_t>& out_shape,
-                 kernels::ActEncode& ep) {
-  return [&](std::vector<std::int64_t> shape) {
-    std::int64_t numel = 1;
-    for (const std::int64_t d : shape) numel *= d;
-    out_shape = std::move(shape);
-    codes.resize(PackedCodes::stream_bytes(numel, ep.bits));
-    ep.codes = codes.data();
-    return [&ep](std::int64_t e, std::int64_t stride, std::int64_t run,
-                 std::int64_t nruns, const float* src, float bias_v) {
-      const std::int64_t count = run * nruns;
-      float* buf = kernels::detail::fused_scratch(count);
-      for (std::int64_t i = 0; i < count; ++i) buf[i] = src[i] + bias_v;
-      kernels::detail::encode_strided_block(ep, buf, count, e, stride, run);
-    };
-  };
-}
-
-/// The fused conv ops' shared body: run the core into an encode sink.
+/// The fused conv ops' body: the output exists only as codes.
 template <typename Input>
 PackedCodes conv2d_enc(const Input& input, const PackedCodes& weight,
                        const Tensor* bias, const Conv2dSpec& spec,
                        std::uint32_t zero_code, const ActEncodeSpec& enc) {
   LP_CHECK(enc.lut != nullptr && (enc.bits == 8 || enc.bits == 16));
-  std::vector<std::uint8_t> codes;
-  std::vector<std::int64_t> out_shape;
-  kernels::ActEncode ep{enc.qidx, nullptr, enc.bits, enc.act};
-  conv2d_core(input, weight, bias, spec, zero_code,
-              encode_sink(codes, out_shape, ep));
-  return PackedCodes::from_codes(std::move(codes), std::move(out_shape),
-                                 enc.bits, enc.lut);
+  const ConvShape s = conv_shape(input, weight, bias, spec, zero_code);
+  std::vector<std::uint8_t> codes(PackedCodes::stream_bytes(
+      s.n * s.cout * s.geom.ho * s.geom.wo, enc.bits));
+  const kernels::ActEncode ep{enc.qidx, codes.data(), enc.bits, enc.act};
+  conv2d_core(input, weight, bias, spec, s, {nullptr, &ep});
+  return PackedCodes::from_codes(std::move(codes), s.out(), enc.bits,
+                                 enc.lut);
 }
 
 }  // namespace
 
 Tensor conv2d(const Tensor& input, const Tensor& weight, const Tensor* bias,
               const Conv2dSpec& spec) {
-  Tensor out;
-  conv2d_core(input, weight, bias, spec, 0, tensor_sink(out));
-  return out;
+  return conv2d_floats(input, weight, bias, spec, 0);
 }
 
 Tensor conv2d_codes(const Tensor& input, const PackedCodes& weight,
                     const Tensor* bias, const Conv2dSpec& spec) {
-  Tensor out;
-  conv2d_core(input, weight, bias, spec, 0, tensor_sink(out));
-  return out;
+  return conv2d_floats(input, weight, bias, spec, 0);
 }
 
 PackedCodes conv2d_codes_enc(const Tensor& input, const PackedCodes& weight,
@@ -553,9 +625,7 @@ PackedCodes conv2d_codes_enc(const Tensor& input, const PackedCodes& weight,
 Tensor conv2d_codes_codes(const PackedCodes& input, const PackedCodes& weight,
                           const Tensor* bias, const Conv2dSpec& spec,
                           std::uint32_t zero_code) {
-  Tensor out;
-  conv2d_core(input, weight, bias, spec, zero_code, tensor_sink(out));
-  return out;
+  return conv2d_floats(input, weight, bias, spec, zero_code);
 }
 
 PackedCodes conv2d_codes_codes_enc(const PackedCodes& input,

@@ -1,8 +1,9 @@
 // Forward-pass tensor operations.
 //
 // These are the primitives the DNN substrate (src/nn) composes: GEMM,
-// grouped convolution (im2col + GEMM, or a direct loop for depthwise
-// MobileNet blocks), pooling, activations, softmax, layernorm.  All
+// grouped convolution (output tiles that gather their own patches for one
+// GEMM, or a direct loop for depthwise blocks), pooling, activations,
+// softmax, layernorm.  All
 // functions are pure (inputs const, fresh output) unless suffixed
 // _inplace.
 #pragma once
@@ -109,43 +110,45 @@ struct Conv2dSpec {
 /// this op and the four coded variants below alike:
 ///  - Cin/groups == 1 (depthwise): a direct loop per output channel over
 ///    its input plane and kh*kw taps, output channels split across the
-///    pool, no patch matrix;
-///  - otherwise: im2col + one GEMM per group.
-/// Both round identically: the direct loop is the GEMM's arithmetic on a
-/// one-row patch matrix (double accumulator, taps in ascending
-/// ky*kw + kx, zero weights skipped, padding read as +0.0f), with the
-/// bias added in float after it.
+///    pool;
+///  - otherwise: one pooled pass over output tiles (group, image, block of
+///    output channels, block of output pixels), each gathering its own
+///    patch block for one GEMM and finishing its own outputs.
+/// Neither builds a patch matrix, and both round as im2col + GEMM does:
+/// double accumulator, products in ascending (c, ky, kx), zero weights
+/// skipped, padding read as +0.0f, the bias added in float after it.
 [[nodiscard]] Tensor conv2d(const Tensor& input, const Tensor& weight,
                             const Tensor* bias, const Conv2dSpec& spec);
 
-/// conv2d with a packed-code weight tensor (same logical layout): the
-/// per-group weight slice is the GEMM's A operand, decoded element-wise
-/// inside the kernel.  Bit-identical to conv2d over the decoded weights.
+/// conv2d with a packed-code weight tensor (same logical layout): each
+/// tile's weight rows are the GEMM's A operand, decoded inside the kernel.
+/// Bit-identical to conv2d over the decoded weights.
 [[nodiscard]] Tensor conv2d_codes(const Tensor& input,
                                   const PackedCodes& weight,
                                   const Tensor* bias, const Conv2dSpec& spec);
 
-/// Fused variant of conv2d_codes: bias + act + encode applied per element
-/// in the scatter, so the float-input × coded-weight convolution emits
-/// only codes.
+/// Fused variant of conv2d_codes: each tile adds bias, activates and
+/// encodes its own outputs, so the float-input × coded-weight convolution
+/// emits only codes.
 [[nodiscard]] PackedCodes conv2d_codes_enc(
     const Tensor& input, const PackedCodes& weight, const Tensor* bias,
     const Conv2dSpec& spec, const ActEncodeSpec& enc);
 
-/// conv2d with coded weights AND a coded NCHW input: patches gather as
-/// codes (padding with `zero_code`, which must decode to exact +0.0f —
-/// see lut_zero_code; checked) and both GEMM operands decode inside the
-/// kernel.  On the depthwise path each input plane decodes once into
-/// thread-local scratch.  Bit-identical to conv2d over the decoded
-/// tensors.
+/// conv2d with coded weights AND a coded NCHW input: each tile's gather
+/// decodes its patches through the input's LUT, and the weight codes
+/// decode inside the kernel; on the depthwise path each input plane
+/// decodes once into thread-local scratch.  Padding reads +0.0f, which
+/// `zero_code` must decode to exactly (see lut_zero_code; checked), so
+/// im2col_codes, which pads with it, agrees.  Bit-identical to conv2d
+/// over the decoded tensors.
 [[nodiscard]] Tensor conv2d_codes_codes(const PackedCodes& input,
                                         const PackedCodes& weight,
                                         const Tensor* bias,
                                         const Conv2dSpec& spec,
                                         std::uint32_t zero_code);
 
-/// Fused variant of conv2d_codes_codes: bias + act + encode applied per
-/// element in the scatter, so the [N,Cout,H',W'] output exists only as
+/// Fused variant of conv2d_codes_codes: each tile adds bias, activates and
+/// encodes its own outputs, so the [N,Cout,H',W'] output exists only as
 /// codes.
 [[nodiscard]] PackedCodes conv2d_codes_codes_enc(
     const PackedCodes& input, const PackedCodes& weight, const Tensor* bias,
@@ -186,8 +189,9 @@ void scale_inplace(Tensor& a, float s);
 /// argmax over the last dimension of a 2-D tensor: [N,D] -> indices[N].
 [[nodiscard]] std::vector<std::int64_t> argmax_rows(const Tensor& logits);
 
-/// im2col for conv2d: returns [Cin*kh*kw, N*Hout*Wout] patch matrix for a
-/// single group slice.  Exposed for testing.
+/// The [Cin*kh*kw, N*Hout*Wout] patch matrix of one group's channel slice:
+/// what the conv tiles gather piecewise, through the same walk.  Exposed
+/// for testing.
 [[nodiscard]] Tensor im2col(const Tensor& input, std::int64_t c_begin,
                             std::int64_t c_count, std::int64_t kh,
                             std::int64_t kw, const Conv2dSpec& spec);
@@ -203,7 +207,8 @@ void scale_inplace(Tensor& a, float s);
                                        std::int64_t kw, const Conv2dSpec& spec,
                                        std::uint32_t zero_code);
 
-/// Output spatial size of a convolution dimension.
+/// Output spatial size of a convolution dimension; throws when the kernel
+/// is wider than the padded input.
 [[nodiscard]] std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel,
                                         std::int64_t stride, std::int64_t padding);
 

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/lp_format.h"
@@ -533,44 +534,205 @@ std::int64_t count_nan(const Tensor& t) {
   return c;
 }
 
-/// Every conv op on single-input-channel (depthwise) shapes against the
-/// im2col + matmul reference, bit for bit, at pool widths 1 and 8.  The
-/// weights are 4-bit codes through a hand-built LUT holding ±0.0, ±inf
-/// and a denormal; a +inf weight tap on padding must give NaN where the
-/// reference does, an all-±0.0 channel must skip even +inf inputs, the
-/// fused ops must refuse any non-finite output, and cancelling ±2^60 taps
-/// must show the taps add in ascending order.
-TEST(CodesOps, DepthwiseDirectPathMatchesIm2colGemm) {
-  PoolGuard guard;
-  // Codes 0/1 are ±0.0, 2/3 are ±inf, 4 is a denormal, 14/15 are ±2^60
-  // (only for the accumulation-order case at the end).
-  const auto wlut = std::make_shared<const DecodeTable>(DecodeTable{
+Tensor decoded(const PackedCodes& p) {
+  Tensor t(p.shape());
+  p.decode(t.data());
+  return t;
+}
+
+// --- conv ops against the im2col + matmul oracle ---------------------------
+
+/// The conv oracle tests' 4-bit weight table.  Codes 0/1 are ±0.0, 2/3 are
+/// ±inf, 4 is a denormal, 14/15 are ±2^60 (only for the accumulation-order
+/// cases).
+std::shared_ptr<const DecodeTable> conv_weight_lut() {
+  static const auto lut = std::make_shared<const DecodeTable>(DecodeTable{
       0.0F, -0.0F, kInf, -kInf, kDenorm, 0.5F, -0.75F, 1.25F, -1.5F, 2.0F,
       0.125F, -0.3F, 0.9F, -2.5F, 0x1p60F, -0x1p60F});
-  const std::uint32_t finite_codes[] = {0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
-  const LPFormat af(LPConfig{8, 2, 4, 0.0});
-  const auto alut = build_decode_table(af);
-  ASSERT_NE(alut, nullptr);
-  const std::int64_t zc = lut_zero_code(*alut);
-  ASSERT_GE(zc, 0);
-  const auto zcode = static_cast<std::uint32_t>(zc);
-  const ActEncodeSpec enc{af.quant_index()->view(), alut,
-                          PackedCodes::bits_for(alut->size(), 8),
-                          kernels::kActRelu};
-  auto decoded = [](const PackedCodes& p) {
-    Tensor t(p.shape());
-    p.decode(t.data());
-    return t;
-  };
-  auto act_quantized = [&](Tensor t) {
+  return lut;
+}
+
+/// The activation side: an LP format (8-bit codes by default), its decode
+/// table, code width and zero code, and a relu encode spec for the fused
+/// ops.
+struct ConvActs {
+  LPFormat af;
+  std::shared_ptr<const DecodeTable> alut = build_decode_table(af);
+  int bits = PackedCodes::bits_for(alut->size(), 8);
+  std::int64_t zero_code = lut_zero_code(*alut);
+  ActEncodeSpec enc{af.quant_index()->view(), alut, bits, kernels::kActRelu};
+
+  explicit ConvActs(LPConfig cfg = LPConfig{8, 2, 4, 0.0}) : af(cfg) {}
+
+  [[nodiscard]] Tensor act_quantized(Tensor t) const {
     for (float& v : t.data()) v = kernels::act_eval(v, enc.act);
     quantize_inplace(t, af);
     return t;
-  };
+  }
+};
+
+/// 4-bit weights of `shape` with output-channel roles by oc % 3: 0 random
+/// finite codes (±0.0 and the denormal included), 1 the same, 2 only ±0.0.
+/// The second tensor equals the first but for +inf at role 1's tap 0
+/// (patch row (c, ky, kx) = (0, 0, 0)).  With an odd per-channel tap
+/// count, odd-oc slices start mid-byte.
+std::pair<PackedCodes, PackedCodes> role_weights(
+    const std::vector<std::int64_t>& shape, Rng& rng) {
+  const std::uint32_t finite_codes[] = {0, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13};
+  const std::int64_t cout = shape[0];
+  const std::int64_t taps = shape[1] * shape[2] * shape[3];
+  std::vector<std::uint32_t> idx(static_cast<std::size_t>(cout * taps));
+  std::vector<std::uint32_t> idx_inf(idx.size());
+  for (std::int64_t oc = 0; oc < cout; ++oc) {
+    for (std::int64_t p = 0; p < taps; ++p) {
+      const auto e = static_cast<std::size_t>(oc * taps + p);
+      const double hi = oc % 3 == 2 ? 1.99 : 11.99;
+      idx[e] = finite_codes[static_cast<std::size_t>(rng.uniform(0.0, hi))];
+      idx_inf[e] = (oc % 3 == 1 && p == 0) ? 2U : idx[e];
+    }
+  }
+  return {PackedCodes::from_codes(pack_raw(idx, 4, 0), shape, 4,
+                                  conv_weight_lut()),
+          PackedCodes::from_codes(pack_raw(idx_inf, 4, 0), shape, 4,
+                                  conv_weight_lut())};
+}
+
+/// Every conv op against conv_by_im2col_matmul, shape and bits, at pool
+/// widths 1, 3 and 8: conv2d and conv2d_codes on `x` and on a copy with
+/// +inf at (0, c, 1, 1) of every channel, conv2d_codes_codes on x's coding
+/// in `acts`, and the fused ops decoded against act + quantize of the
+/// reference (a non-finite output takes the NaN code, which decodes to the
+/// quantized float path's NaN).  Beside the bits it pins what the role
+/// weights are for: finite operands give finite outputs, the +inf tap over
+/// padding gives NaN, and all-±0.0 channels skip even +inf inputs.
+void expect_conv_ops_match_oracle(const ConvActs& acts, const Tensor& x,
+                                  const std::pair<PackedCodes, PackedCodes>& w,
+                                  const Tensor& bias, const Conv2dSpec& spec) {
+  const auto& [wc, wc_inf] = w;
+  const Tensor wd = decoded(wc);
+  const Tensor wd_inf = decoded(wc_inf);
+  const std::int64_t n = x.dim(0);
+  Tensor x_inf = x;
+  if (n > 0) {
+    for (std::int64_t ch = 0; ch < x.dim(1); ++ch) {
+      x_inf.at4(0, ch, std::min<std::int64_t>(1, x.dim(2) - 1),
+                std::min<std::int64_t>(1, x.dim(3) - 1)) = kInf;
+    }
+  }
+  const auto xc =
+      PackedCodes::pack(x.data(), x.shape(), acts.af, acts.alut, acts.bits);
+  const Tensor xd = decoded(xc);
+  const auto zcode = static_cast<std::uint32_t>(acts.zero_code);
+  const ActEncodeSpec& enc = acts.enc;
+
+  const Tensor ref = conv_by_im2col_matmul(x, wd, bias, spec);
+  const Tensor ref_inf = conv_by_im2col_matmul(x_inf, wd_inf, bias, spec);
+  const Tensor ref_cc = conv_by_im2col_matmul(xd, wd, bias, spec);
+  const Tensor ref_cc_inf = conv_by_im2col_matmul(xd, wd_inf, bias, spec);
   auto all_finite = [](const Tensor& t) {
     return std::all_of(t.data().begin(), t.data().end(),
                        [](float v) { return std::isfinite(v); });
   };
+  ASSERT_TRUE(all_finite(ref));
+  ASSERT_TRUE(all_finite(ref_cc));
+  // The +inf tap of the role-1 channel reads padding at output (0, 0):
+  // inf * 0 = NaN there.
+  if (spec.padding > 0 && n > 0 && wd.dim(0) > 1) {
+    ASSERT_GT(count_nan(ref_inf), 0);
+    ASSERT_GT(count_nan(ref_cc_inf), 0);
+  }
+  // Role-2 channels' ±0.0 taps are skipped, so +inf inputs leave them at
+  // their bias.
+  const std::int64_t cout = ref_inf.dim(1);
+  const std::int64_t hw = ref_inf.dim(2) * ref_inf.dim(3);
+  for (std::int64_t b = 0; b < n; ++b) {
+    for (std::int64_t oc = 2; oc < cout; oc += 3) {
+      for (std::int64_t i = 0; i < hw; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(ref_inf[(b * cout + oc) * hw + i]),
+                  std::bit_cast<std::uint32_t>(bias[oc]));
+      }
+    }
+  }
+
+  auto expect_same = [](const char* op, const Tensor& got,
+                        const Tensor& want) {
+    SCOPED_TRACE(op);
+    EXPECT_EQ(got.shape(), want.shape());
+    EXPECT_EQ(bits_of(got.data()), bits_of(want.data()));
+  };
+  for (const int threads : {1, 3, 8}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    set_default_pool_threads(threads);
+    expect_same("conv2d", conv2d(x, wd, &bias, spec), ref);
+    expect_same("conv2d inf", conv2d(x_inf, wd_inf, &bias, spec), ref_inf);
+    expect_same("conv2d_codes", conv2d_codes(x, wc, &bias, spec), ref);
+    expect_same("conv2d_codes inf", conv2d_codes(x_inf, wc_inf, &bias, spec),
+                ref_inf);
+    expect_same("conv2d_codes_codes",
+                conv2d_codes_codes(xc, wc, &bias, spec, zcode), ref_cc);
+    expect_same("conv2d_codes_codes inf",
+                conv2d_codes_codes(xc, wc_inf, &bias, spec, zcode), ref_cc_inf);
+
+    expect_same("conv2d_codes_enc",
+                decoded(conv2d_codes_enc(x, wc, &bias, spec, enc)),
+                acts.act_quantized(ref));
+    expect_same(
+        "conv2d_codes_codes_enc",
+        decoded(conv2d_codes_codes_enc(xc, wc, &bias, spec, zcode, enc)),
+        acts.act_quantized(ref_cc));
+    expect_same("conv2d_codes_enc inf",
+                decoded(conv2d_codes_enc(x_inf, wc_inf, &bias, spec, enc)),
+                acts.act_quantized(ref_inf));
+    expect_same(
+        "conv2d_codes_codes_enc inf",
+        decoded(conv2d_codes_codes_enc(xc, wc_inf, &bias, spec, zcode, enc)),
+        acts.act_quantized(ref_cc_inf));
+  }
+}
+
+/// conv2d, conv2d_codes and conv2d_codes_codes on a constant 1.0 input
+/// against the oracle at pool widths 1, 3 and 8.  Returns the oracle's
+/// float output, for the caller to pin the value that only ascending
+/// patch-row order gives.
+Tensor expect_order_matches_oracle(const ConvActs& acts,
+                                   const std::vector<std::uint32_t>& idx,
+                                   std::vector<std::int64_t> wshape,
+                                   std::vector<std::int64_t> xshape,
+                                   const Conv2dSpec& spec) {
+  const PackedCodes wo = PackedCodes::from_codes(pack_raw(idx, 4, 0),
+                                                 wshape, 4, conv_weight_lut());
+  const Tensor wod = decoded(wo);
+  Tensor ones(std::move(xshape));
+  ones.fill(1.0F);
+  const auto ones_c = PackedCodes::pack(ones.data(), ones.shape(), acts.af,
+                                        acts.alut, acts.bits);
+  const auto zcode = static_cast<std::uint32_t>(acts.zero_code);
+  const Tensor zero_bias({wshape[0]});
+  Tensor ref = conv_by_im2col_matmul(ones, wod, zero_bias, spec);
+  const Tensor ref_cc =
+      conv_by_im2col_matmul(decoded(ones_c), wod, zero_bias, spec);
+  for (const int threads : {1, 3, 8}) {
+    SCOPED_TRACE(::testing::Message() << "order, threads=" << threads);
+    set_default_pool_threads(threads);
+    EXPECT_EQ(bits_of(conv2d(ones, wod, &zero_bias, spec).data()),
+              bits_of(ref.data()));
+    EXPECT_EQ(bits_of(conv2d_codes(ones, wo, &zero_bias, spec).data()),
+              bits_of(ref.data()));
+    EXPECT_EQ(
+        bits_of(
+            conv2d_codes_codes(ones_c, wo, &zero_bias, spec, zcode).data()),
+        bits_of(ref_cc.data()));
+  }
+  return ref;
+}
+
+/// Every conv op on single-input-channel (depthwise) shapes against the
+/// im2col + matmul reference (see expect_conv_ops_match_oracle), then
+/// cancelling ±2^60 taps that show the taps add in ascending order.
+TEST(CodesOps, DepthwiseDirectPathMatchesIm2colGemm) {
+  PoolGuard guard;
+  const ConvActs acts;
+  ASSERT_GE(acts.zero_code, 0);
 
   struct Case {
     std::int64_t k, stride, padding, mult, n;
@@ -595,95 +757,13 @@ TEST(CodesOps, DepthwiseDirectPathMatchesIm2colGemm) {
                  << " n=" << t.n);
     const std::int64_t c = 3;
     const std::int64_t cout = c * t.mult;
-    const std::int64_t taps = t.k * t.k;
-    const Conv2dSpec spec{t.stride, t.padding, c};
     Rng rng(seed++);
-
-    // Channel roles by oc % 3: 0 finite codes (±0.0 and the denormal
-    // included), 1 the same but +inf at tap 0 in the _inf weights, 2 only
-    // ±0.0.  With k odd, odd-oc slices start mid-byte.
-    std::vector<std::uint32_t> idx(static_cast<std::size_t>(cout * taps));
-    std::vector<std::uint32_t> idx_inf(idx.size());
-    for (std::int64_t oc = 0; oc < cout; ++oc) {
-      for (std::int64_t p = 0; p < taps; ++p) {
-        const auto e = static_cast<std::size_t>(oc * taps + p);
-        const double hi = oc % 3 == 2 ? 1.99 : 11.99;
-        idx[e] = finite_codes[static_cast<std::size_t>(rng.uniform(0.0, hi))];
-        idx_inf[e] = (oc % 3 == 1 && p == 0) ? 2U : idx[e];
-      }
-    }
-    const std::vector<std::int64_t> wshape{cout, 1, t.k, t.k};
-    const PackedCodes wc =
-        PackedCodes::from_codes(pack_raw(idx, 4, 0), wshape, 4, wlut);
-    const PackedCodes wc_inf =
-        PackedCodes::from_codes(pack_raw(idx_inf, 4, 0), wshape, 4, wlut);
-    const Tensor wd = decoded(wc);
-    const Tensor wd_inf = decoded(wc_inf);
-
+    const auto w = role_weights({cout, 1, t.k, t.k}, rng);
     Tensor bias({cout});
     for (float& v : bias.data()) v = static_cast<float>(rng.gaussian());
     Tensor x({t.n, c, t.n == 1 ? 7 : 5, t.n == 1 ? 5 : 8});  // H != W
     for (float& v : x.data()) v = static_cast<float>(rng.gaussian());
-    Tensor x_inf = x;
-    for (std::int64_t ch = 0; ch < c; ++ch) x_inf.at4(0, ch, 1, 1) = kInf;
-    const auto xc = PackedCodes::pack(x.data(), x.shape(), af, alut, 8);
-    const Tensor xd = decoded(xc);
-
-    const Tensor ref = conv_by_im2col_matmul(x, wd, bias, spec);
-    const Tensor ref_inf = conv_by_im2col_matmul(x_inf, wd_inf, bias, spec);
-    const Tensor ref_cc = conv_by_im2col_matmul(xd, wd, bias, spec);
-    const Tensor ref_cc_inf = conv_by_im2col_matmul(xd, wd_inf, bias, spec);
-    ASSERT_TRUE(all_finite(ref));
-    ASSERT_TRUE(all_finite(ref_cc));
-    // The +inf tap reads padding at output (0, 0): inf * 0 = NaN there.
-    if (t.padding > 0) {
-      ASSERT_GT(count_nan(ref_inf), 0);
-      ASSERT_GT(count_nan(ref_cc_inf), 0);
-    }
-    // Channel 2's ±0.0 taps are skipped, so +inf inputs leave it at bias.
-    const std::int64_t hw = ref_inf.dim(2) * ref_inf.dim(3);
-    for (std::int64_t b = 0; b < t.n; ++b) {
-      for (std::int64_t i = 0; i < hw; ++i) {
-        const float v = ref_inf[(b * cout + 2) * hw + i];
-        ASSERT_EQ(std::bit_cast<std::uint32_t>(v),
-                  std::bit_cast<std::uint32_t>(bias[2]));
-      }
-    }
-
-    for (const int threads : {1, 8}) {
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
-      set_default_pool_threads(threads);
-      EXPECT_EQ(bits_of(conv2d(x, wd, &bias, spec).data()),
-                bits_of(ref.data()));
-      EXPECT_EQ(bits_of(conv2d(x_inf, wd_inf, &bias, spec).data()),
-                bits_of(ref_inf.data()));
-      EXPECT_EQ(bits_of(conv2d_codes(x, wc, &bias, spec).data()),
-                bits_of(ref.data()));
-      EXPECT_EQ(bits_of(conv2d_codes(x_inf, wc_inf, &bias, spec).data()),
-                bits_of(ref_inf.data()));
-      EXPECT_EQ(bits_of(conv2d_codes_codes(xc, wc, &bias, spec, zcode).data()),
-                bits_of(ref_cc.data()));
-      EXPECT_EQ(
-          bits_of(conv2d_codes_codes(xc, wc_inf, &bias, spec, zcode).data()),
-          bits_of(ref_cc_inf.data()));
-
-      const auto e = conv2d_codes_enc(x, wc, &bias, spec, enc);
-      EXPECT_EQ(bits_of(decoded(e).data()),
-                bits_of(act_quantized(ref).data()));
-      const auto ecc = conv2d_codes_codes_enc(xc, wc, &bias, spec, zcode, enc);
-      EXPECT_EQ(bits_of(decoded(ecc).data()),
-                bits_of(act_quantized(ref_cc).data()));
-      // A non-finite activated output takes the NaN code, which decodes
-      // to the quantized float path's NaN.
-      EXPECT_EQ(
-          bits_of(decoded(conv2d_codes_enc(x_inf, wc_inf, &bias, spec, enc))
-                      .data()),
-          bits_of(act_quantized(ref_inf).data()));
-      EXPECT_EQ(bits_of(decoded(conv2d_codes_codes_enc(xc, wc_inf, &bias, spec,
-                                                       zcode, enc))
-                            .data()),
-                bits_of(act_quantized(ref_cc_inf).data()));
-    }
+    expect_conv_ops_match_oracle(acts, x, w, bias, {t.stride, t.padding, c});
   }
 
   // Accumulation order.  On a constant input of 1.0 the ±2^60 taps at
@@ -693,30 +773,113 @@ TEST(CodesOps, DepthwiseDirectPathMatchesIm2colGemm) {
   const std::vector<std::uint32_t> order_taps = {14, 7, 7, 15, 7, 7, 7, 7, 7};
   std::vector<std::uint32_t> order_idx = order_taps;
   order_idx.insert(order_idx.end(), order_taps.begin(), order_taps.end());
-  const PackedCodes wo =
-      PackedCodes::from_codes(pack_raw(order_idx, 4, 0), {2, 1, 3, 3}, 4, wlut);
-  const Tensor wod = decoded(wo);
-  Tensor ones({1, 2, 4, 5});
-  for (float& v : ones.data()) v = 1.0F;
-  const auto ones_c = PackedCodes::pack(ones.data(), ones.shape(), af, alut, 8);
-  const Tensor zero_bias({2});
-  const Conv2dSpec spec{1, 1, 2};
-  const Tensor ref = conv_by_im2col_matmul(ones, wod, zero_bias, spec);
-  const Tensor ref_cc =
-      conv_by_im2col_matmul(decoded(ones_c), wod, zero_bias, spec);
-  ASSERT_EQ(ref.at4(0, 1, 1, 2), 6.25F);
-  for (const int threads : {1, 8}) {
-    SCOPED_TRACE(::testing::Message() << "order, threads=" << threads);
-    set_default_pool_threads(threads);
-    EXPECT_EQ(bits_of(conv2d(ones, wod, &zero_bias, spec).data()),
-              bits_of(ref.data()));
-    EXPECT_EQ(bits_of(conv2d_codes(ones, wo, &zero_bias, spec).data()),
-              bits_of(ref.data()));
-    EXPECT_EQ(
-        bits_of(
-            conv2d_codes_codes(ones_c, wo, &zero_bias, spec, zcode).data()),
-        bits_of(ref_cc.data()));
+  const Tensor ref = expect_order_matches_oracle(
+      acts, order_idx, {2, 1, 3, 3}, {1, 2, 4, 5}, {1, 1, 2});
+  EXPECT_EQ(ref.at4(0, 1, 1, 2), 6.25F);
+}
+
+/// The dense (Cin/groups > 1) conv path against the same oracle:
+///  - every (cg_in, groups, k, stride, padding) on small planes, the batch
+///    cycling through 0, 1 and 3;
+///  - convs without output channels, which give an empty output;
+///  - inputs exactly as wide as the padded kernel (W = k - 2 * padding);
+///  - shapes whose cout * k * N is at least 2^16, so the work runs on the
+///    pool and splits inside an image (by pixels, or by output channels),
+///    with ho * wo not a multiple of 16;
+///  - 16-bit activation codes, on a small and a pooled shape;
+///  - cancelling ±2^60 taps that only ascending (c, ky, kx) order sums
+///    as the oracle does.
+TEST(CodesOps, DenseConvMatchesIm2colGemm) {
+  PoolGuard guard;
+  const ConvActs acts;
+  ASSERT_GE(acts.zero_code, 0);
+
+  struct Case {
+    std::int64_t cg_in, groups, cg_out, k, stride, padding, n, h, w;
+  };
+  std::vector<Case> cases;
+  const std::int64_t batches[] = {0, 1, 3};
+  for (const std::int64_t cg_in : {2, 3, 8}) {
+    for (const std::int64_t groups : {1, 2}) {
+      for (const std::int64_t k : {1, 3, 5}) {
+        for (const std::int64_t stride : {1, 2}) {
+          for (const std::int64_t padding : {0, 1, 2}) {
+            const std::size_t i = cases.size();
+            cases.push_back({cg_in, groups, 3, k, stride, padding,
+                             batches[(i + i / 3) % 3], 7, 6});
+          }
+        }
+      }
+    }
   }
+  cases.push_back({3, 1, 0, 3, 1, 1, 1, 7, 6});
+  cases.push_back({2, 2, 0, 1, 2, 0, 3, 7, 6});
+  for (const std::int64_t k : {1, 3, 5}) {
+    for (const std::int64_t padding : {0, 1, 2}) {
+      if (k - 2 * padding < 1) continue;
+      for (const std::int64_t stride : {1, 2}) {
+        cases.push_back({3, 2, 3, k, stride, padding, 1, 6, k - 2 * padding});
+      }
+    }
+  }
+  const Case pooled[] = {
+      {8, 2, 8, 3, 1, 1, 1, 13, 11},   // ho * wo = 143
+      {8, 2, 8, 3, 1, 1, 3, 13, 11},
+      {3, 1, 48, 5, 2, 2, 3, 21, 17},  // 11 x 9
+      {2, 2, 32, 1, 1, 0, 1, 30, 29},  // 870
+      // 15 pixels per image leave only output channels to split: row
+      // blocks of 25 make odd-numbered weight rows of 27 codes start
+      // mid-byte.
+      {3, 1, 100, 3, 1, 1, 2, 5, 3},
+  };
+  for (const Case& t : pooled) {
+    const std::int64_t ho = conv_out_dim(t.h, t.k, t.stride, t.padding);
+    const std::int64_t wo = conv_out_dim(t.w, t.k, t.stride, t.padding);
+    ASSERT_NE((ho * wo) % 16, 0);
+    ASSERT_GE(t.groups * t.cg_out * t.cg_in * t.k * t.k * t.n * ho * wo,
+              std::int64_t{1} << 16);
+    cases.push_back(t);
+  }
+
+  std::uint64_t seed = 100;
+  auto run = [&](const ConvActs& a, const Case& t) {
+    SCOPED_TRACE(::testing::Message()
+                 << "cg_in=" << t.cg_in << " groups=" << t.groups
+                 << " cg_out=" << t.cg_out << " k=" << t.k
+                 << " stride=" << t.stride << " pad=" << t.padding
+                 << " n=" << t.n << " " << t.h << "x" << t.w
+                 << " act bits=" << a.bits);
+    const std::int64_t cout = t.groups * t.cg_out;
+    Rng rng(seed++);
+    const auto w = role_weights({cout, t.cg_in, t.k, t.k}, rng);
+    Tensor bias({cout});
+    for (float& v : bias.data()) v = static_cast<float>(rng.gaussian());
+    Tensor x({t.n, t.groups * t.cg_in, t.h, t.w});
+    for (float& v : x.data()) v = static_cast<float>(rng.gaussian());
+    expect_conv_ops_match_oracle(a, x, w, bias,
+                                 {t.stride, t.padding, t.groups});
+  };
+  for (const Case& t : cases) run(acts, t);
+  const ConvActs acts16(LPConfig{12, 2, 7, 0.0});
+  ASSERT_EQ(acts16.bits, 16);
+  ASSERT_GE(acts16.zero_code, 0);
+  run(acts16, {3, 2, 3, 3, 2, 1, 3, 7, 6});
+  run(acts16, pooled[1]);
+
+  // Accumulation order over (c, ky, kx).  Each of 64 output channels
+  // reads two input channels whose first taps are ±2^60, each followed by
+  // eight 1.25 taps.  On a constant 1.0 input an interior output is 10.0:
+  // channel 0's 1.25s are absorbed by 2^60 before channel 1 cancels it.
+  // A (ky, kx, c) order would cancel the pair first and give 20.0.
+  const std::vector<std::uint32_t> order_taps = {14, 7, 7, 7, 7, 7, 7, 7, 7,
+                                                 15, 7, 7, 7, 7, 7, 7, 7, 7};
+  std::vector<std::uint32_t> order_idx;
+  for (int oc = 0; oc < 64; ++oc) {
+    order_idx.insert(order_idx.end(), order_taps.begin(), order_taps.end());
+  }
+  const Tensor ref = expect_order_matches_oracle(
+      acts, order_idx, {64, 2, 3, 3}, {1, 2, 20, 19}, {1, 1, 1});
+  EXPECT_EQ(ref.at4(0, 5, 7, 9), 10.0F);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -172,6 +174,18 @@ TEST(Conv2d, DepthwiseGroupsKeepChannelsIndependent) {
   EXPECT_FLOAT_EQ(out.at4(0, 1, 1, 1), 200.0F);
 }
 
+TEST(Conv2d, RejectsKernelWiderThanPaddedInput) {
+  // Depthwise 3x3 over 2x2 planes at stride 2, no padding: no window fits,
+  // so no output position exists (the direct path would read past its
+  // staged plane).
+  Tensor input({1, 2, 2, 2});
+  input.fill(1.0F);
+  Tensor w({2, 1, 3, 3});
+  w.fill(1.0F);
+  EXPECT_THROW(static_cast<void>(conv2d(input, w, nullptr, {2, 0, 2})),
+               std::invalid_argument);
+}
+
 TEST(Conv2d, RejectsBadGroups) {
   Tensor input({1, 3, 4, 4});
   Tensor w({4, 1, 3, 3});
@@ -289,11 +303,86 @@ TEST(Im2col, PatchLayoutMatchesConvContract) {
   EXPECT_FLOAT_EQ(cols[3], 4.0F);
 }
 
+// Both patch matrices against the definition, written out: row
+// (c, ky, kx) of the channel slice, column (b, oy, ox), holds input
+// (b, c_begin + c, oy * stride - padding + ky, ox * stride - padding + kx),
+// or padding (+0.0f, or zero_code) outside the plane.
+TEST(Im2col, MatchesPatchDefinition) {
+  struct Case {
+    std::int64_t n, c, h, w, c_begin, c_count, kh, kw, stride, padding;
+  };
+  const Case cases[] = {{2, 3, 5, 4, 1, 2, 3, 3, 1, 1},
+                        {1, 2, 7, 6, 0, 2, 3, 2, 2, 2},
+                        {3, 4, 4, 5, 2, 2, 1, 1, 1, 0},
+                        {1, 1, 3, 3, 0, 1, 5, 5, 2, 1},
+                        {0, 2, 4, 4, 0, 2, 3, 3, 1, 1}};
+  const auto lut = std::make_shared<const DecodeTable>(
+      DecodeTable{0.5F, 0.0F, -1.25F, 3.0F, -0.0F, 7.5F});
+  constexpr std::uint32_t kZeroCode = 1;
+  Rng rng(29);
+  for (const Case& t : cases) {
+    SCOPED_TRACE(::testing::Message() << "n=" << t.n << " c=" << t.c << " "
+                                      << t.h << "x" << t.w << " k=" << t.kh
+                                      << "x" << t.kw << " s=" << t.stride
+                                      << " p=" << t.padding);
+    Tensor x({t.n, t.c, t.h, t.w});
+    std::vector<std::uint8_t> codes(static_cast<std::size_t>(x.numel()));
+    for (std::int64_t i = 0; i < x.numel(); ++i) {
+      const auto code = static_cast<std::uint8_t>(rng.next_u64() % lut->size());
+      codes[static_cast<std::size_t>(i)] = code;
+      x[i] = (*lut)[code];
+    }
+    const PackedCodes xc =
+        PackedCodes::from_codes(std::move(codes), x.shape(), 8, lut);
+    const Conv2dSpec spec{t.stride, t.padding, 1};
+    const Tensor cols = im2col(x, t.c_begin, t.c_count, t.kh, t.kw, spec);
+    const PackedCodes ccols =
+        im2col_codes(xc, t.c_begin, t.c_count, t.kh, t.kw, spec, kZeroCode);
+    const std::int64_t ho = conv_out_dim(t.h, t.kh, t.stride, t.padding);
+    const std::int64_t wo = conv_out_dim(t.w, t.kw, t.stride, t.padding);
+    const std::int64_t width = t.n * ho * wo;
+    ASSERT_EQ(cols.shape(),
+              (std::vector<std::int64_t>{t.c_count * t.kh * t.kw, width}));
+    ASSERT_EQ(ccols.shape(), cols.shape());
+    for (std::int64_t c = 0; c < t.c_count; ++c) {
+      for (std::int64_t ky = 0; ky < t.kh; ++ky) {
+        for (std::int64_t kx = 0; kx < t.kw; ++kx) {
+          const std::int64_t row = (c * t.kh + ky) * t.kw + kx;
+          for (std::int64_t b = 0; b < t.n; ++b) {
+            for (std::int64_t oy = 0; oy < ho; ++oy) {
+              for (std::int64_t ox = 0; ox < wo; ++ox) {
+                const std::int64_t iy = oy * t.stride - t.padding + ky;
+                const std::int64_t ix = ox * t.stride - t.padding + kx;
+                const bool inside = iy >= 0 && iy < t.h && ix >= 0 && ix < t.w;
+                const float want =
+                    inside ? x.at4(b, t.c_begin + c, iy, ix) : 0.0F;
+                const std::int64_t e = row * width + (b * ho + oy) * wo + ox;
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(cols[e]),
+                          std::bit_cast<std::uint32_t>(want))
+                    << "row " << row << " col " << e - row * width;
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(ccols.decode_at(e)),
+                          std::bit_cast<std::uint32_t>(
+                              inside ? want : (*lut)[kZeroCode]));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ConvOutDim, FormulaAndValidation) {
   EXPECT_EQ(conv_out_dim(32, 3, 1, 1), 32);
   EXPECT_EQ(conv_out_dim(32, 3, 2, 1), 16);
   EXPECT_EQ(conv_out_dim(8, 8, 8, 0), 1);
   EXPECT_THROW(static_cast<void>(conv_out_dim(2, 5, 1, 0)),
+               std::invalid_argument);
+  // A window wider than the padded input has no position, even where the
+  // stride would truncate the negative span to zero.
+  EXPECT_THROW(static_cast<void>(conv_out_dim(2, 3, 2, 0)),
+               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(conv_out_dim(1, 4, 4, 0)),
                std::invalid_argument);
 }
 
