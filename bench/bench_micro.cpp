@@ -362,8 +362,12 @@ BENCHMARK_CAPTURE(BM_GemmKernel, avx512, "avx512")->Apply(gemm_kernel_args);
 
 /// Quantize-kernel A/B on one 1M-element buffer (quantization is
 /// idempotent, so work per iteration is stable after the first pass).
-void run_quantize_kernel_bench(benchmark::State& state,
-                               const kernels::KernelTable& kt) {
+void BM_QuantizeKernel(benchmark::State& state, const char* tier) {
+  const kernels::KernelTable* kt = usable_table(tier);
+  if (kt == nullptr) {
+    state.SkipWithError("kernel tier unavailable on this host");
+    return;
+  }
   const LPFormat fmt(LPConfig{8, 1, 4, 3.0});
   const QuantIndex index(fmt.all_values());
   const kernels::QuantIndexView view = index.view();
@@ -371,36 +375,16 @@ void run_quantize_kernel_bench(benchmark::State& state,
   std::vector<float> data(1U << 20);
   for (auto& x : data) x = static_cast<float>(rng.gaussian(0.0, 0.1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kt.quantize_chunk(view, data.data(), data.size()));
+    benchmark::DoNotOptimize(
+        kt->quantize_chunk(view, data.data(), data.size()));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(data.size()));
 }
 
-void BM_QuantizeKernelScalar(benchmark::State& state) {
-  run_quantize_kernel_bench(state, kernels::scalar_kernels());
-}
-BENCHMARK(BM_QuantizeKernelScalar);
-
-void BM_QuantizeKernelAvx2(benchmark::State& state) {
-  const kernels::KernelTable* kt = kernels::avx2_kernels();
-  if (kt == nullptr || !kernels::cpu_supports_avx2()) {
-    state.SkipWithError("AVX2 unavailable on this host");
-    return;
-  }
-  run_quantize_kernel_bench(state, *kt);
-}
-BENCHMARK(BM_QuantizeKernelAvx2);
-
-void BM_QuantizeKernelAvx512(benchmark::State& state) {
-  const kernels::KernelTable* kt = kernels::avx512_kernels();
-  if (kt == nullptr || !kernels::cpu_supports_avx512()) {
-    state.SkipWithError("AVX-512 unavailable on this host");
-    return;
-  }
-  run_quantize_kernel_bench(state, *kt);
-}
-BENCHMARK(BM_QuantizeKernelAvx512);
+BENCHMARK_CAPTURE(BM_QuantizeKernel, scalar, "scalar");
+BENCHMARK_CAPTURE(BM_QuantizeKernel, avx2, "avx2");
+BENCHMARK_CAPTURE(BM_QuantizeKernel, avx512, "avx512");
 
 // --- runtime weight-code-cache benches ------------------------------------
 // One GA generation's fitness evaluations over a population whose members

@@ -1,16 +1,11 @@
-#include "kernels.h"
+#include "kernels_simd.h"
 
 namespace lp::kernels {
 namespace {
 
-void gemm_rows_avx2(const float* a, const float* b, float* c, long rows,
-                    long k, long n) {
-  for (long i = 0; i < rows; ++i) {
-    double acc = 0.0;
-    for (long kk = 0; kk < k; ++kk) acc += a[i * k + kk] * b[kk * n];
-    c[i * n] = static_cast<float>(acc);
-  }
-}
+struct Avx2 {
+  static constexpr int kLanes = 8;
+};
 
 void quantize_chunk_avx2(const float* xs, unsigned* out, long n) {
   for (long i = 0; i < n; ++i) out[i] = static_cast<unsigned>(xs[i]);
@@ -19,7 +14,7 @@ void quantize_chunk_avx2(const float* xs, unsigned* out, long n) {
 }  // namespace
 
 const KernelTable* avx2_kernels() {
-  static constexpr KernelTable kTable{"avx2", gemm_rows_avx2,
+  static constexpr KernelTable kTable{"avx2", SimdKernels<Avx2>::gemm_rows,
                                       quantize_chunk_avx2};
   return &kTable;
 }

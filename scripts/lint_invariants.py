@@ -20,8 +20,12 @@ determinism (docs/STATIC_ANALYSIS.md documents the "why" per rule):
                       (fault_injection.h) — a typo'd point is a fault plan
                       that silently never fires
   float-accum         kernel inner loops accumulate in double (no float /
-                      packed-single accumulators, no *_ps adds or FMAs),
-                      and the root build pins -ffp-contract=off
+                      packed-single accumulators, no *_ps adds or FMAs) in
+                      the kernel sources and headers, and the root build
+                      pins -ffp-contract=off
+  isa-isolation       only the SIMD TUs include kernels_simd.h, and every
+                      definition in it sits in its anonymous namespace, so
+                      no ISA's instantiation can link into another tier
   test-registration   every tests/test_*.cpp is registered in
                       tests/CMakeLists.txt (an unregistered test is a
                       test that silently never runs)
@@ -369,7 +373,9 @@ SINGLE_PREC_ACCUM_OPS = re.compile(
 def rule_float_accum(root: pathlib.Path) -> list[Violation]:
     out = []
     kdir = root / "src/kernels"
-    for path in sorted(kdir.glob("kernels_*.cpp")) if kdir.is_dir() else []:
+    paths = (sorted(kdir.glob("kernels_*.cpp")) + sorted(kdir.glob("*.h"))
+             if kdir.is_dir() else [])
+    for path in paths:
         text = strip_comments_and_strings(path.read_text())
         for m in FLOAT_ACC_DECL.finditer(text):
             out.append(Violation(
@@ -388,6 +394,66 @@ def rule_float_accum(root: pathlib.Path) -> list[Violation]:
             "float-accum", cml, 0,
             "root CMakeLists.txt must pin -ffp-contract=off build-wide "
             "(FMA contraction changes kernel rounding)"))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# isa-isolation
+
+
+SIMD_HEADER = "src/kernels/kernels_simd.h"
+SIMD_TUS = {"src/kernels/kernels_avx2.cpp", "src/kernels/kernels_avx512.cpp"}
+INCLUDE_LINE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]', re.M)
+
+
+def rule_isa_isolation(root: pathlib.Path) -> list[Violation]:
+    """The shared SIMD header is compiled once per ISA.  Its code is safe
+    only while each instantiation keeps internal linkage (the linker may
+    otherwise keep the widest ISA's copy for every caller) and only the
+    SIMD TUs compile it."""
+    rule = "isa-isolation"
+    out = []
+    for sub in ("src", "tests", "bench", "examples"):
+        d = root / sub
+        if not d.is_dir():
+            continue
+        for path in sorted(d.rglob("*")):
+            if path.suffix not in (".h", ".cpp"):
+                continue
+            rel = path.relative_to(root).as_posix()
+            if rel in SIMD_TUS:
+                continue
+            text = path.read_text()
+            for m in INCLUDE_LINE.finditer(text):
+                if pathlib.PurePosixPath(m.group(1)).name == "kernels_simd.h":
+                    out.append(Violation(
+                        rule, path, line_of(text, m.start()),
+                        "kernels_simd.h is included only by the SIMD TUs "
+                        f"({', '.join(sorted(SIMD_TUS))})"))
+    header = root / SIMD_HEADER
+    if not header.is_file():
+        return out
+    text = strip_comments_and_strings(header.read_text())
+    code = re.sub(r"^[ \t]*#.*$", "", text, flags=re.M)
+    m = re.search(r"\bnamespace\s*\{", code)
+    if not m:
+        return out + [Violation(rule, header, 0,
+                                "no anonymous namespace to hold the kernels")]
+    end = m.end() + len(extract_balanced(code, m.end() - 1, "{", "}")) + 1
+
+    def blank(s: str) -> str:  # keeps newlines, so line numbers hold
+        return re.sub(r"[^\n]", " ", s)
+
+    # Outside the anonymous namespace only named-namespace braces may stand.
+    outside = code[:m.start()] + blank(code[m.start():end]) + code[end:]
+    outside = re.sub(r"\bnamespace\s+[\w:]+\s*\{|\}",
+                     lambda x: blank(x.group(0)), outside)
+    stray = re.search(r"\S", outside)
+    if stray:
+        out.append(Violation(
+            rule, header, line_of(outside, stray.start()),
+            "code outside the anonymous namespace has external linkage: "
+            "one ISA's copy could be linked into another tier's callers"))
     return out
 
 
@@ -421,6 +487,7 @@ RULES = (
     rule_nondeterminism,
     rule_fault_points,
     rule_float_accum,
+    rule_isa_isolation,
     rule_test_registration,
 )
 
@@ -444,6 +511,9 @@ BAD_FIXTURES = {
     "bad_nondeterminism": "nondeterminism",
     "bad_fault_point": "fault-points",
     "bad_float_accum": "float-accum",
+    "bad_float_accum_header": "float-accum",
+    "bad_isa_include": "isa-isolation",
+    "bad_isa_linkage": "isa-isolation",
     "bad_unregistered_test": "test-registration",
 }
 

@@ -10,7 +10,8 @@
 // key.  Batched lookups are then a bucket jump plus a short integer
 // search, remain bit-exact with the scalar rule by construction, and are
 // served by the dispatched kernel layer (src/kernels: scalar reference or
-// AVX2 branchless search, selected at runtime via cpuid / LP_KERNEL).
+// the AVX2/AVX-512 branchless search, selected at runtime via cpuid /
+// LP_KERNEL).
 #pragma once
 
 #include <cstdint>

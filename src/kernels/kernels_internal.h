@@ -44,8 +44,9 @@ void depthwise_conv_plane(const float* x, const float* wts,
 /// bit-identical, so the choice affects throughput, never codes — and
 /// write codes at output elements [elem_begin, elem_begin + count), the
 /// NaN code for a non-finite activated value.  Out-of-line in the scalar
-/// TU so every kernel table — and the conv scatter in tensor/ops.cpp —
-/// shares one compiled encoder.
+/// TU so every kernel table and the encoders in tensor/ops.cpp (encode_acts,
+/// and the conv tiles' ConvSink::write through encode_strided_block) share
+/// one compiled encoder.
 void encode_row_block(const ActEncode& ep, const float* src,
                       std::int64_t elem_begin, std::int64_t count);
 
@@ -54,7 +55,8 @@ void encode_row_block(const ActEncode& ep, const float* src,
 void encode_scratch_block(const ActEncode& ep, float* scratch,
                           std::int64_t elem_begin, std::int64_t count);
 
-/// encode_scratch_block for strided destinations (the conv scatter):
+/// encode_scratch_block for strided destinations (a conv tile's output
+/// block, written by ConvSink::write in tensor/ops.cpp):
 /// scratch[0..count) encodes as count/run runs of `run` codes, run r
 /// landing at elements [e0 + r*stride, e0 + r*stride + run).  One act +
 /// nearest-index batch covers the whole block; only the code writes jump.
@@ -65,13 +67,18 @@ void encode_strided_block(const ActEncode& ep, float* scratch,
 /// Thread-local float scratch sized for a fused row block — the GEMM
 /// writes every element before the epilogue reads it, so the buffer is
 /// deliberately not zeroed (a per-call std::vector would memset the whole
-/// block).  Valid until the next call on the same thread.
+/// block).  Valid until the next call on the same thread.  Only a GEMM
+/// body running an epilogue (GemmArgs::ep non-null) stages here, so a
+/// GEMM call without one never overwrites a caller's data; code outside
+/// the kernels keeps its own scratch (the conv paths use tensor/ops.cpp's
+/// conv_scratch).
 [[nodiscard]] float* fused_scratch(std::int64_t count);
 
 /// Reference boundary search: index of the nearest table value for an
 /// ordered key (bucket jump + short scan / upper_bound).  Any search that
-/// counts boundary keys <= key returns the same index; the AVX2 path uses
-/// a branchless SIMD count and is pinned to this by test_kernels.
+/// counts boundary keys <= key returns the same index; the SIMD tables
+/// (kernels_simd.h) use a branchless count and are pinned to this by
+/// test_kernels.
 [[nodiscard]] std::size_t qindex_lookup(const QuantIndexView& v,
                                         std::uint32_t key);
 

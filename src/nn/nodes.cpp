@@ -415,11 +415,6 @@ NodeValue AttentionNode::run(std::span<const NodeValue* const> x,
   return NodeValue(std::move(out));
 }
 
-NodeValue MaxPoolNode::run(std::span<const NodeValue* const> x,
-                           const RunCtx&) const {
-  return max_pool2d(x[0]->dense(), kernel_, stride_, padding_);
-}
-
 NodeValue GlobalAvgPoolNode::run(std::span<const NodeValue* const> x,
                                  const RunCtx&) const {
   return global_avg_pool(x[0]->dense());

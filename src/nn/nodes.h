@@ -75,20 +75,6 @@ class AttentionNode final : public Node {
   int grid_w_;
 };
 
-class MaxPoolNode final : public Node {
- public:
-  MaxPoolNode(int input, std::string name, int kernel, int stride, int padding)
-      : Node({input}, std::move(name)), kernel_(kernel), stride_(stride),
-        padding_(padding) {}
-  [[nodiscard]] NodeValue run(std::span<const NodeValue* const> x,
-                           const RunCtx&) const override;
-
- private:
-  int kernel_;
-  int stride_;
-  int padding_;
-};
-
 /// Global average pool [B,C,H,W] -> [B,C].
 class GlobalAvgPoolNode final : public Node {
  public:

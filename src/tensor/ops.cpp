@@ -654,40 +654,6 @@ Tensor global_avg_pool(const Tensor& input) {
   return out;
 }
 
-Tensor max_pool2d(const Tensor& input, std::int64_t kernel, std::int64_t stride,
-                  std::int64_t padding) {
-  LP_CHECK(input.rank() == 4);
-  const std::int64_t n = input.dim(0);
-  const std::int64_t c = input.dim(1);
-  const std::int64_t h = input.dim(2);
-  const std::int64_t w = input.dim(3);
-  const std::int64_t ho = conv_out_dim(h, kernel, stride, padding);
-  const std::int64_t wo = conv_out_dim(w, kernel, stride, padding);
-  Tensor out({n, c, ho, wo});
-  for (std::int64_t b = 0; b < n; ++b) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float* src = input.raw() + (b * c + ch) * h * w;
-      float* dst = out.raw() + (b * c + ch) * ho * wo;
-      for (std::int64_t oy = 0; oy < ho; ++oy) {
-        for (std::int64_t ox = 0; ox < wo; ++ox) {
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::int64_t ky = 0; ky < kernel; ++ky) {
-            const std::int64_t iy = oy * stride - padding + ky;
-            if (iy < 0 || iy >= h) continue;
-            for (std::int64_t kx = 0; kx < kernel; ++kx) {
-              const std::int64_t ix = ox * stride - padding + kx;
-              if (ix < 0 || ix >= w) continue;
-              best = std::max(best, src[iy * w + ix]);
-            }
-          }
-          dst[oy * wo + ox] = best;
-        }
-      }
-    }
-  }
-  return out;
-}
-
 // The elementwise activations delegate to kernels::act_eval — the single
 // definition the fused encode epilogue also evaluates, so fused and
 // unfused flows apply bit-identical nonlinearities.

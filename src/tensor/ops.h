@@ -157,10 +157,6 @@ struct Conv2dSpec {
 /// Global average pool: [N,C,H,W] -> [N,C].
 [[nodiscard]] Tensor global_avg_pool(const Tensor& input);
 
-/// Max pool with square kernel/stride: [N,C,H,W] -> [N,C,H',W'].
-[[nodiscard]] Tensor max_pool2d(const Tensor& input, std::int64_t kernel,
-                                std::int64_t stride, std::int64_t padding = 0);
-
 /// Elementwise activations (fresh output).
 [[nodiscard]] Tensor relu(const Tensor& x);
 [[nodiscard]] Tensor relu6(const Tensor& x);

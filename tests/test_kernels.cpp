@@ -22,6 +22,7 @@
 #include "core/lp_format.h"
 #include "core/packed_codes.h"
 #include "core/quant_index.h"
+#include "core/quant_rule.h"
 #include "kernels/kernels.h"
 #include "lpa/systolic.h"
 #include "tensor/ops.h"
@@ -713,6 +714,85 @@ TEST_F(QuantizeBitEquality, DenormalBoundariesExact) {
   // math must be exact down there too.
   const std::vector<double> vals = {-1e-39, -2e-42, 0.0, 3e-42, 5e-40, 1e-38};
   check_format(vals, true);
+}
+
+TEST_F(QuantizeBitEquality, EveryBoundaryOfEveryLpqFormat) {
+  // The LPQ search space (every LP config with n <= 8, enumerated as in
+  // PackedCodesRoundTrip.NaNEntryNeverWidensACode) holds at most 11 keys
+  // per bucket, so only the two wide formats reach a 16-lane count loop:
+  // {12,2,5,0.5} has buckets of up to 22 keys, {16,2,15,0} up to 348.
+  std::vector<LPConfig> cfgs;
+  for (int n = 2; n <= 8; ++n) {
+    for (int es = 0; es <= 5; ++es) {
+      for (int rs = 1; rs <= n - 1; ++rs) {
+        const LPConfig cfg{n, es, rs, 0.0};
+        if (cfg.valid()) cfgs.push_back(cfg);
+      }
+    }
+  }
+  ASSERT_EQ(cfgs.size(), 113U);
+  cfgs.push_back(LPConfig{12, 2, 5, 0.5});
+  cfgs.push_back(LPConfig{16, 2, 15, 0.0});
+
+  for (const LPConfig& cfg : cfgs) {
+    SCOPED_TRACE(cfg.to_string());
+    const LPFormat fmt(cfg);
+    const std::vector<double> vals = fmt.all_values();
+    const kernels::QuantIndexView view = fmt.quant_index()->view();
+    const auto lut = build_decode_table(fmt);
+    ASSERT_NE(lut, nullptr);
+
+    // Probes: every table value, then every adjacent pair's float
+    // midpoint and its two float neighbours.
+    std::vector<float> probes;
+    for (const double v : vals) probes.push_back(static_cast<float>(v));
+    for (std::size_t i = 0; i + 1 < vals.size(); ++i) {
+      const auto mid = static_cast<float>(0.5 * (vals[i] + vals[i + 1]));
+      probes.push_back(std::nextafter(mid, -kInf));
+      probes.push_back(mid);
+      probes.push_back(std::nextafter(mid, kInf));
+    }
+    std::vector<std::uint32_t> want(probes.size());
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      want[i] = std::isfinite(probes[i])
+                    ? static_cast<std::uint32_t>(quant::nearest_index(
+                          vals, static_cast<double>(probes[i])))
+                    : kernels::kInvalidIndex;
+    }
+    for (const auto* t : tables_) {
+      std::vector<std::uint32_t> got(probes.size());
+      t->nearest_indices(view, probes.data(), got.data(), probes.size());
+      const auto bad = std::mismatch(want.begin(), want.end(), got.begin());
+      EXPECT_TRUE(bad.first == want.end())
+          << t->name << ": probe " << probes[bad.first - want.begin()]
+          << " wants index " << *bad.first << ", got " << *bad.second;
+      // quantize_chunk stores exactly the nearest value's float.
+      std::vector<float> q = probes;
+      (void)t->quantize_chunk(view, q.data(), q.size());
+      for (std::size_t i = 0; i < q.size(); ++i) {
+        const bool ok = want[i] == kernels::kInvalidIndex
+                            ? std::isnan(q[i])
+                            : std::bit_cast<std::uint32_t>(q[i]) ==
+                                  std::bit_cast<std::uint32_t>(
+                                      view.values_f[want[i]]);
+        if (!ok) {
+          ADD_FAILURE() << t->name << ": probe " << probes[i]
+                        << " quantizes to " << q[i];
+          break;
+        }
+      }
+    }
+
+    // A value the float cast keeps exactly decodes back to itself.  The
+    // cast changes values past float range and, for es = 5, negatives too
+    // small for a float (they cast to -0.0f, which encodes to +0.0).
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+      if (static_cast<double>(probes[i]) != vals[i]) continue;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>((*lut)[want[i]]),
+                std::bit_cast<std::uint32_t>(probes[i]))
+          << "value " << vals[i];
+    }
+  }
 }
 
 // --- PLAM approximate multiply (LP_APPROX=plam) -----------------------------

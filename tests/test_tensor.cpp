@@ -199,14 +199,6 @@ TEST(Pooling, GlobalAvg) {
   EXPECT_FLOAT_EQ(out.at2(0, 1), 25.0F);
 }
 
-TEST(Pooling, MaxPoolPicksMaximum) {
-  Tensor input({1, 1, 4, 4});
-  for (int i = 0; i < 16; ++i) input[i] = static_cast<float>(i);
-  const Tensor out = max_pool2d(input, 2, 2);
-  EXPECT_FLOAT_EQ(out.at4(0, 0, 0, 0), 5.0F);
-  EXPECT_FLOAT_EQ(out.at4(0, 0, 1, 1), 15.0F);
-}
-
 TEST(Activations, ReluFamilies) {
   Tensor t({5}, {-2, -0.5F, 0, 3, 10});
   const Tensor r = relu(t);
