@@ -386,6 +386,40 @@ BENCHMARK_CAPTURE(BM_QuantizeKernel, scalar, "scalar");
 BENCHMARK_CAPTURE(BM_QuantizeKernel, avx2, "avx2");
 BENCHMARK_CAPTURE(BM_QuantizeKernel, avx512, "avx512");
 
+/// The activation encode's search alone: nearest_indices over ReLU6 of
+/// Gaussian data through an A8 format of the serving setup,
+/// activation_config(LPConfig{4, 1, 2, c}, 0.5) with c = 4.5, about the
+/// mean of ResNet-18's weight centers (lpq::sf_centers).  The input never
+/// changes, unlike BM_QuantizeKernel's, whose buffer sits on table values
+/// after the first pass.
+void BM_NearestIndices(benchmark::State& state, const char* tier) {
+  const kernels::KernelTable* kt = usable_table(tier);
+  if (kt == nullptr) {
+    state.SkipWithError("kernel tier unavailable on this host");
+    return;
+  }
+  const LPFormat fmt(activation_config(LPConfig{4, 1, 2, 4.5}, 0.5));
+  const kernels::QuantIndexView view = fmt.quant_index()->view();
+  Rng rng(3);
+  std::vector<float> acts(1U << 16);
+  for (auto& x : acts) {
+    x = kernels::act_eval(static_cast<float>(rng.gaussian()),
+                          kernels::kActRelu6);
+  }
+  std::vector<std::uint32_t> idx(acts.size());
+  for (auto _ : state) {
+    kt->nearest_indices(view, acts.data(), idx.data(), acts.size());
+    benchmark::DoNotOptimize(idx.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(acts.size()));
+}
+
+BENCHMARK_CAPTURE(BM_NearestIndices, scalar, "scalar");
+BENCHMARK_CAPTURE(BM_NearestIndices, avx2, "avx2");
+BENCHMARK_CAPTURE(BM_NearestIndices, avx512, "avx512");
+
 // --- runtime weight-code-cache benches ------------------------------------
 // One GA generation's fitness evaluations over a population whose members
 // share most per-layer genes with a common parent (exactly what LPQ's Step

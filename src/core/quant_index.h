@@ -7,10 +7,11 @@
 // of that out of the loop: each decision boundary is resolved once, at
 // build time, to the exact float where the scalar rule flips from the
 // lower to the upper table value, stored as an order-preserving uint32
-// key.  Batched lookups are then a bucket jump plus a short integer
-// search, remain bit-exact with the scalar rule by construction, and are
-// served by the dispatched kernel layer (src/kernels: scalar reference or
-// the AVX2/AVX-512 branchless search, selected at runtime via cpuid /
+// key.  Batched lookups are then a bucket jump plus a count of the
+// bucket's keys <= the input's key, remain bit-exact with the scalar rule
+// by construction, and are served by the dispatched kernel layer
+// (src/kernels: the scalar reference, or the AVX2/AVX-512 search in which
+// every SIMD lane walks its own bucket; selected at runtime via cpuid /
 // LP_KERNEL).
 #pragma once
 

@@ -98,7 +98,7 @@ struct PackedCodesView {
 
 /// Write a code at element e of a byte-aligned output stream.  Activation
 /// code streams are always 8- or 16-bit (never nibble-packed), so parallel
-/// row blocks and scatter writers never share a byte.
+/// row blocks and conv tiles never share a byte.
 inline void packed_code_write(std::uint8_t* data, int bits, std::int64_t e,
                               std::uint32_t code) {
   if (bits == 8) {

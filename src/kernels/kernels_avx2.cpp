@@ -6,7 +6,6 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstdint>
 
 #include "kernels/kernels_simd.h"
@@ -53,30 +52,47 @@ struct Avx2 {
     _mm256_storeu_ps(dst, _mm256_i32gather_ps(lut, iv, 4));
   }
 
-  // AVX2 compares only signed dwords, so both sides get the sign bias.
-  static unsigned count_le(const std::uint32_t* keys, std::uint32_t key) {
-    const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000U));
-    const __m256i kv =
-        _mm256_xor_si256(_mm256_set1_epi32(static_cast<int>(key)), bias);
-    const __m256i ks = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys)), bias);
-    const auto gt = static_cast<unsigned>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(ks, kv))));
-    return 8U - static_cast<unsigned>(std::popcount(gt));
-  }
-  static unsigned ordered_keys(const float* xs, std::uint32_t* keys) {
+  // The nearest-index walk.  A lane mask is a vector of all-ones or zero
+  // dwords.  AVX2 compares only signed dwords: indices stay below 2^31, so
+  // lt compares them directly, and le tests keys through an unsigned max.
+  using U32 = __m256i;
+  using Mask = __m256i;
+  static U32 ordered_keys(const float* xs, Mask& finite) {
     const __m256i sign = _mm256_set1_epi32(static_cast<int>(0x80000000U));
     const __m256i expm = _mm256_set1_epi32(0x7F800000);
     const __m256i bits =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xs));
+    finite = _mm256_andnot_si256(
+        _mm256_cmpeq_epi32(_mm256_and_si256(bits, expm), expm),
+        _mm256_set1_epi32(-1));
     // Negatives (the sign-propagating shift gives an all-ones mask) flip
     // entirely, positives set the sign bit.
     const __m256i neg = _mm256_srai_epi32(bits, 31);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(keys),
-                        _mm256_or_si256(_mm256_xor_si256(bits, neg),
-                                        _mm256_andnot_si256(neg, sign)));
-    const __m256i bad = _mm256_cmpeq_epi32(_mm256_and_si256(bits, expm), expm);
-    return static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(bad)));
+    return _mm256_or_si256(_mm256_xor_si256(bits, neg),
+                           _mm256_andnot_si256(neg, sign));
+  }
+  static U32 shift_right(U32 a, int s) {
+    return _mm256_srl_epi32(a, _mm_cvtsi32_si128(s));
+  }
+  static U32 gather(const std::uint32_t* base, U32 idx, Mask m) {
+    return _mm256_mask_i32gather_epi32(_mm256_setzero_si256(),
+                                       reinterpret_cast<const int*>(base), idx,
+                                       m, 4);
+  }
+  static Mask lt(Mask m, U32 a, U32 b) {
+    return _mm256_and_si256(m, _mm256_cmpgt_epi32(b, a));
+  }
+  static Mask le(Mask m, U32 a, U32 b) {
+    return _mm256_and_si256(m, _mm256_cmpeq_epi32(_mm256_max_epu32(a, b), b));
+  }
+  static U32 add(U32 a, std::uint32_t d, Mask m) {
+    return _mm256_add_epi32(
+        a, _mm256_and_si256(m, _mm256_set1_epi32(static_cast<int>(d))));
+  }
+  static bool any(Mask m) { return _mm256_testz_si256(m, m) == 0; }
+  static void store(std::uint32_t* out, U32 a, Mask m) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                        _mm256_blendv_epi8(_mm256_set1_epi32(-1), a, m));
   }
 };
 

@@ -7,7 +7,6 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cstdint>
 
 #include "kernels/kernels_simd.h"
@@ -47,25 +46,42 @@ struct Avx512 {
     _mm512_storeu_ps(dst, _mm512_i32gather_ps(iv, lut, 4));
   }
 
-  // AVX-512 compares unsigned dwords natively (no sign-bias xor) and
-  // returns a lane mask, so the count is one popcount.
-  static unsigned count_le(const std::uint32_t* keys, std::uint32_t key) {
-    const __mmask16 le =
-        _mm512_cmp_epu32_mask(_mm512_loadu_si512(keys),
-                              _mm512_set1_epi32(static_cast<int>(key)),
-                              _MM_CMPINT_LE);
-    return static_cast<unsigned>(std::popcount(static_cast<unsigned>(le)));
-  }
-  static unsigned ordered_keys(const float* xs, std::uint32_t* keys) {
+  // The nearest-index walk.  AVX-512 compares unsigned dwords natively and
+  // keeps lane masks in k registers, so every primitive is one instruction.
+  using U32 = __m512i;
+  using Mask = __mmask16;
+  static U32 ordered_keys(const float* xs, Mask& finite) {
     const __m512i sign = _mm512_set1_epi32(static_cast<int>(0x80000000U));
     const __m512i expm = _mm512_set1_epi32(0x7F800000);
     const __m512i bits = _mm512_loadu_si512(xs);
+    finite = _mm512_cmpneq_epi32_mask(_mm512_and_epi32(bits, expm), expm);
     // Negatives (the sign-propagating shift gives an all-ones mask) flip
     // entirely, positives set the sign bit.
     const __m512i neg = _mm512_srai_epi32(bits, 31);
-    _mm512_storeu_si512(keys, _mm512_or_epi32(_mm512_xor_epi32(bits, neg),
-                                              _mm512_andnot_epi32(neg, sign)));
-    return _mm512_cmpeq_epi32_mask(_mm512_and_epi32(bits, expm), expm);
+    return _mm512_or_epi32(_mm512_xor_epi32(bits, neg),
+                           _mm512_andnot_epi32(neg, sign));
+  }
+  static U32 shift_right(U32 a, int s) {
+    return _mm512_srl_epi32(a, _mm_cvtsi32_si128(s));
+  }
+  static U32 gather(const std::uint32_t* base, U32 idx, Mask m) {
+    return _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), m, idx, base,
+                                       4);
+  }
+  static Mask lt(Mask m, U32 a, U32 b) {
+    return _mm512_mask_cmplt_epu32_mask(m, a, b);
+  }
+  static Mask le(Mask m, U32 a, U32 b) {
+    return _mm512_mask_cmple_epu32_mask(m, a, b);
+  }
+  static U32 add(U32 a, std::uint32_t d, Mask m) {
+    return _mm512_mask_add_epi32(a, m, a,
+                                 _mm512_set1_epi32(static_cast<int>(d)));
+  }
+  static bool any(Mask m) { return m != 0; }
+  static void store(std::uint32_t* out, U32 a, Mask m) {
+    _mm512_storeu_si512(out,
+                        _mm512_mask_mov_epi32(_mm512_set1_epi32(-1), m, a));
   }
 };
 

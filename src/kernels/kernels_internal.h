@@ -76,9 +76,10 @@ void encode_strided_block(const ActEncode& ep, float* scratch,
 
 /// Reference boundary search: index of the nearest table value for an
 /// ordered key (bucket jump + short scan / upper_bound).  Any search that
-/// counts boundary keys <= key returns the same index; the SIMD tables
-/// (kernels_simd.h) use a branchless count and are pinned to this by
-/// test_kernels.
+/// counts boundary keys <= key returns the same index.  The SIMD tables
+/// (kernels_simd.h) walk each lane's bucket in parallel, call this per
+/// lane for a block with a bucket too wide to walk, and are pinned to it
+/// by test_kernels.
 [[nodiscard]] std::size_t qindex_lookup(const QuantIndexView& v,
                                         std::uint32_t key);
 

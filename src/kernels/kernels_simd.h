@@ -22,9 +22,10 @@
 //    per-(row, k) predicate, identical across the vector lanes of one row,
 //    so it stays an ordinary branch.
 //  * Quantization runs two passes per block: a SIMD pass computing nearest
-//    indices (branchless boundary-key count), then the shared scalar
-//    quantize_apply pass whose element-order error accumulation is the
-//    reference code itself.
+//    indices (every lane walks its own bucket's boundary keys; the cursor
+//    it stops at is the count detail::qindex_lookup returns), then the
+//    shared scalar quantize_apply pass whose element-order error
+//    accumulation is the reference code itself.
 //  * Edge columns (n % kLanes) fall through to the reference GEMM, which
 //    is per-element identical by definition.
 //
@@ -39,18 +40,24 @@
 //   lut4(table, idx, dst)          L 4-bit codes -> floats, in registers
 //   gather8 / gather16(lut, src, dst)
 //                                  L 8- or 16-bit codes at src -> floats
-//   count_le(keys, key)            how many of L keys are <= key (unsigned)
-//   ordered_keys(xs, keys)         quant::ordered_key of L floats into keys;
-//                                  returns the lane mask of non-finite xs
+//   U32, Mask                      a vector of L uint32 lanes, a lane mask
+//   ordered_keys(xs, finite)       quant::ordered_key of L floats; sets
+//                                  `finite` to the lanes of finite xs
+//   shift_right(a, s)              a >> s per lane
+//   gather(base, idx, m)           base[idx] in the lanes of m, 0 elsewhere
+//   lt(m, a, b)                    the lanes of m where index a < index b
+//   le(m, a, b)                    the lanes of m where a <= b (unsigned)
+//   add(a, d, m)                   a + d in the lanes of m, a elsewhere
+//   any(m)                         whether m holds a lane
+//   store(out, a, m)               a in the lanes of m, kInvalidIndex
+//                                  elsewhere
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
-#include "core/quant_rule.h"
 #include "kernels/kernels_internal.h"
 
 namespace lp::kernels {
@@ -61,6 +68,8 @@ class SimdKernels {
   static constexpr int kLanes = Isa::kLanes;
   static constexpr int kHalf = kLanes / 2;
   using Half = typename Isa::Half;
+  using U32 = typename Isa::U32;
+  using Mask = typename Isa::Mask;
 
  public:
   // -------------------------------------------------------------------------
@@ -135,25 +144,19 @@ class SimdKernels {
     }
   }
 
+  // Nearest-index search: keys in SIMD, then every lane walks its own
+  // bucket (see nearest_block).  The tail walks as one block padded with
+  // +0.0f lanes.
   static void nearest_indices(const QuantIndexView& v, const float* xs,
                               std::uint32_t* out, std::size_t n) {
     std::size_t i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-      alignas(64) std::uint32_t keys[kLanes];
-      const unsigned bad = Isa::ordered_keys(xs + i, keys);
-      for (int l = 0; l < kLanes; ++l) {
-        out[i + static_cast<std::size_t>(l)] =
-            ((bad >> l) & 1U) != 0
-                ? kInvalidIndex
-                : static_cast<std::uint32_t>(lookup_count(v, keys[l]));
-      }
-    }
-    for (; i < n; ++i) {
-      const auto bits = std::bit_cast<std::uint32_t>(xs[i]);
-      out[i] = quant::is_finite_bits(bits)
-                   ? static_cast<std::uint32_t>(
-                         lookup_count(v, quant::ordered_key(bits)))
-                   : kInvalidIndex;
+    for (; i + kLanes <= n; i += kLanes) nearest_block(v, xs + i, out + i);
+    if (i < n) {
+      alignas(64) float pad[kLanes] = {};
+      alignas(64) std::uint32_t idx[kLanes];
+      std::memcpy(pad, xs + i, (n - i) * sizeof(float));
+      nearest_block(v, pad, idx);
+      std::memcpy(out + i, idx, (n - i) * sizeof(std::uint32_t));
     }
   }
 
@@ -219,33 +222,44 @@ class SimdKernels {
   // results.  4-bit codes go through the in-register LUT (the table holds
   // at most 16 floats), 8- and 16-bit codes through a gather.  Nibble
   // extraction stays scalar: grouped-convolution slices start at arbitrary
-  // element offsets that are not byte-aligned.
+  // element offsets that are not byte-aligned.  The code reads are written
+  // out here rather than calling kernels.h's packed_code_at: a Debug build
+  // leaves that inline helper out of line, and this TU's copy, compiled
+  // for its ISA, would be a weak symbol the linker may keep for baseline
+  // callers.
   static void decode_elems(const PackedCodesView& v, std::int64_t elem_begin,
                            std::int64_t count, float* dst) {
+    const std::int64_t e0 = v.offset + elem_begin;
     std::int64_t i = 0;
     if (v.bits == 4) {
+      const auto nibble = [&v](std::int64_t e) -> std::uint32_t {
+        return (v.data[e >> 1] >> ((e & 1) * 4)) & 0xFU;
+      };
       alignas(64) float lut16[16] = {};
       std::memcpy(lut16, v.lut, v.lut_size * sizeof(float));
       const auto table = Isa::lut4_load(lut16);
       for (; i + kLanes <= count; i += kLanes) {
         alignas(64) std::uint32_t idx[kLanes];
-        for (int l = 0; l < kLanes; ++l) {
-          idx[l] = packed_code_at(v, elem_begin + i + l);
-        }
+        for (int l = 0; l < kLanes; ++l) idx[l] = nibble(e0 + i + l);
         Isa::lut4(table, idx, dst + i);
       }
+      for (; i < count; ++i) dst[i] = v.lut[nibble(e0 + i)];
     } else if (v.bits == 8) {
-      const std::uint8_t* src = v.data + v.offset + elem_begin;
+      const std::uint8_t* src = v.data + e0;
       for (; i + kLanes <= count; i += kLanes) {
         Isa::gather8(v.lut, src + i, dst + i);
       }
+      for (; i < count; ++i) dst[i] = v.lut[src[i]];
     } else {
-      const std::uint8_t* src = v.data + (v.offset + elem_begin) * 2;
+      const std::uint8_t* src = v.data + e0 * 2;
       for (; i + kLanes <= count; i += kLanes) {
         Isa::gather16(v.lut, src + i * 2, dst + i);
       }
+      for (; i < count; ++i) {
+        dst[i] = v.lut[src[i * 2] |
+                       (static_cast<std::uint32_t>(src[i * 2 + 1]) << 8)];
+      }
     }
-    for (; i < count; ++i) dst[i] = packed_decode_at(v, elem_begin + i);
   }
 
   /// Panel columns [j, j + kLanes) of B, k rows, row-major with stride
@@ -285,22 +299,47 @@ class SimdKernels {
   }
 
   // -------------------------------------------------------------------------
-  // Quantization: branchless boundary search.  Count the bucket's keys
-  // <= key, kLanes at a time, with no early exit.  Returns the same index
-  // as the reference scan for every key by construction (both compute
-  // bucket_lo[b] + |{t : keys[t] <= key}|).
-  static std::size_t lookup_count(const QuantIndexView& v,
-                                   std::uint32_t key) {
-    const std::uint32_t b = key >> (32 - v.bucket_bits);
-    const std::uint32_t lo = v.bucket_lo[b];
-    const std::uint32_t hi = v.bucket_lo[b + 1];
-    std::uint32_t t = lo;
-    std::size_t count = 0;
-    for (; t + kLanes <= hi; t += kLanes) {
-      count += Isa::count_le(v.keys + t, key);
+  // Quantization: the lane-parallel bucket walk.  Each lane jumps to its
+  // key's bucket, then every step gathers the next boundary key of each
+  // live lane and advances the lanes whose key it does not exceed.  A lane
+  // retires at its first larger key or at its bucket's end, so its cursor
+  // ends at bucket_lo[b] + |{t in bucket : keys[t] <= key}| (the keys
+  // ascend) — the index detail::qindex_lookup returns.  The loop runs until
+  // the block's last lane retires: no branch per element.
+
+  /// Blocks with a bucket of more boundary keys than this take
+  /// detail::qindex_lookup per lane instead of walking.  No table of n <= 8
+  /// bits (the LPQ search space and every activation format) holds more
+  /// than 11 keys in a bucket; only the 12- and 16-bit tables exceed it.
+  static constexpr std::uint32_t kWalkCap = 16;
+
+  static void nearest_block(const QuantIndexView& v, const float* xs,
+                            std::uint32_t* out) {
+    Mask finite{};
+    const U32 key = Isa::ordered_keys(xs, finite);
+    const U32 b = Isa::shift_right(key, 32 - v.bucket_bits);
+    // Non-finite lanes gather nothing: cursor and end read 0, so they
+    // never walk.
+    U32 cur = Isa::gather(v.bucket_lo, b, finite);
+    const U32 end = Isa::gather(v.bucket_lo + 1, b, finite);
+    if (Isa::any(Isa::lt(finite, Isa::add(cur, kWalkCap, finite), end))) {
+      // A bucket too wide to walk.  Finite keys stop at 0xFF7FFFFF
+      // (+FLT_MAX), so kInvalidIndex marks exactly the non-finite lanes.
+      Isa::store(out, key, finite);
+      for (int l = 0; l < kLanes; ++l) {
+        if (out[l] != kInvalidIndex) {
+          out[l] = static_cast<std::uint32_t>(detail::qindex_lookup(v, out[l]));
+        }
+      }
+      return;
     }
-    for (; t < hi; ++t) count += (v.keys[t] <= key) ? 1U : 0U;
-    return lo + count;
+    Mask live = Isa::lt(finite, cur, end);
+    while (Isa::any(live)) {
+      const Mask step = Isa::le(live, Isa::gather(v.keys, cur, live), key);
+      cur = Isa::add(cur, 1, step);
+      live = Isa::lt(step, cur, end);
+    }
+    Isa::store(out, cur, finite);
   }
 };
 

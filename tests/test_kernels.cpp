@@ -12,7 +12,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include <string>
@@ -614,6 +616,7 @@ class QuantizeBitEquality : public KernelTablesTest {
           break;
         }
         case 4: {  // tie midpoint and neighbours
+          if (vals.size() < 2) break;
           const auto vi = static_cast<std::size_t>(rng.uniform(
               0.0, static_cast<double>(vals.size()) - 1.5));
           const auto mid =
@@ -675,6 +678,9 @@ class QuantizeBitEquality : public KernelTablesTest {
 TEST_F(QuantizeBitEquality, NarrowLPFormat) {
   const LPFormat fmt(LPConfig{4, 1, 2, 2.0});
   check_format(fmt.all_values(), true);
+  // The narrowest table of all: one value, no boundary keys, so every
+  // bucket is empty and every finite input maps to index 0.
+  check_format({1.5}, true);
 }
 
 TEST_F(QuantizeBitEquality, TypicalLPFormat) {
@@ -684,8 +690,9 @@ TEST_F(QuantizeBitEquality, TypicalLPFormat) {
 }
 
 TEST_F(QuantizeBitEquality, WideFormatDenseBuckets) {
-  // 12-bit table: buckets exceed the scalar path's linear-scan span, so
-  // this exercises the upper_bound branch and the SIMD 8-wide count loop.
+  // 12-bit table: buckets exceed the scalar path's linear-scan span and
+  // the SIMD walk's cap, so this exercises the upper_bound branch and the
+  // SIMD search's per-lane fallback next to walked blocks.
   const CodeTable table(LPConfig{12, 2, 5, 0.5});
   check_format(table.values(), true);
 }
@@ -719,8 +726,10 @@ TEST_F(QuantizeBitEquality, DenormalBoundariesExact) {
 TEST_F(QuantizeBitEquality, EveryBoundaryOfEveryLpqFormat) {
   // The LPQ search space (every LP config with n <= 8, enumerated as in
   // PackedCodesRoundTrip.NaNEntryNeverWidensACode) holds at most 11 keys
-  // per bucket, so only the two wide formats reach a 16-lane count loop:
-  // {12,2,5,0.5} has buckets of up to 22 keys, {16,2,15,0} up to 348.
+  // per bucket, so the SIMD search walks every bucket of it; only the two
+  // wide formats have buckets past the walk's cap of 16 keys and reach its
+  // per-lane fallback: {12,2,5,0.5} has buckets of up to 22 keys,
+  // {16,2,15,0} up to 348.
   std::vector<LPConfig> cfgs;
   for (int n = 2; n <= 8; ++n) {
     for (int es = 0; es <= 5; ++es) {
@@ -752,36 +761,65 @@ TEST_F(QuantizeBitEquality, EveryBoundaryOfEveryLpqFormat) {
       probes.push_back(mid);
       probes.push_back(std::nextafter(mid, kInf));
     }
-    std::vector<std::uint32_t> want(probes.size());
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-      want[i] = std::isfinite(probes[i])
-                    ? static_cast<std::uint32_t>(quant::nearest_index(
-                          vals, static_cast<double>(probes[i])))
-                    : kernels::kInvalidIndex;
-    }
-    for (const auto* t : tables_) {
-      std::vector<std::uint32_t> got(probes.size());
-      t->nearest_indices(view, probes.data(), got.data(), probes.size());
-      const auto bad = std::mismatch(want.begin(), want.end(), got.begin());
-      EXPECT_TRUE(bad.first == want.end())
-          << t->name << ": probe " << probes[bad.first - want.begin()]
-          << " wants index " << *bad.first << ", got " << *bad.second;
-      // quantize_chunk stores exactly the nearest value's float.
-      std::vector<float> q = probes;
-      (void)t->quantize_chunk(view, q.data(), q.size());
-      for (std::size_t i = 0; i < q.size(); ++i) {
-        const bool ok = want[i] == kernels::kInvalidIndex
-                            ? std::isnan(q[i])
-                            : std::bit_cast<std::uint32_t>(q[i]) ==
-                                  std::bit_cast<std::uint32_t>(
-                                      view.values_f[want[i]]);
-        if (!ok) {
-          ADD_FAILURE() << t->name << ": probe " << probes[i]
-                        << " quantizes to " << q[i];
-          break;
+    // Every table's nearest_indices and quantize_chunk against
+    // quant::nearest_index (kInvalidIndex for a non-finite probe); returns
+    // the wanted indices.
+    const auto check_probes = [&](const std::vector<float>& ps) {
+      std::vector<std::uint32_t> want(ps.size());
+      for (std::size_t i = 0; i < ps.size(); ++i) {
+        want[i] = std::isfinite(ps[i])
+                      ? static_cast<std::uint32_t>(quant::nearest_index(
+                            vals, static_cast<double>(ps[i])))
+                      : kernels::kInvalidIndex;
+      }
+      for (const auto* t : tables_) {
+        std::vector<std::uint32_t> got(ps.size());
+        t->nearest_indices(view, ps.data(), got.data(), ps.size());
+        const auto bad = std::mismatch(want.begin(), want.end(), got.begin());
+        EXPECT_TRUE(bad.first == want.end())
+            << t->name << ": probe " << ps[bad.first - want.begin()]
+            << " wants index " << *bad.first << ", got " << *bad.second;
+        // quantize_chunk stores exactly the nearest value's float.
+        std::vector<float> q = ps;
+        (void)t->quantize_chunk(view, q.data(), q.size());
+        for (std::size_t i = 0; i < q.size(); ++i) {
+          const bool ok = want[i] == kernels::kInvalidIndex
+                              ? std::isnan(q[i])
+                              : std::bit_cast<std::uint32_t>(q[i]) ==
+                                    std::bit_cast<std::uint32_t>(
+                                        view.values_f[want[i]]);
+          if (!ok) {
+            ADD_FAILURE() << t->name << ": probe " << ps[i]
+                          << " quantizes to " << q[i];
+            break;
+          }
         }
       }
+      return want;
+    };
+    const std::vector<std::uint32_t> want = check_probes(probes);
+
+    // The same probes in a fixed-seed shuffled order, one in eight of them
+    // ±inf, a NaN or ±FLT_MAX, so one SIMD block mixes lanes in sparse
+    // and dense buckets (12/16-bit) with non-finite lanes.  The all-ones
+    // NaN payloads have the smallest and largest ordered keys of all: the
+    // bottom and top buckets.
+    const float specials[] = {kInf,
+                              -kInf,
+                              kNan,
+                              std::bit_cast<float>(0x7FFFFFFFU),
+                              std::bit_cast<float>(0xFFFFFFFFU),
+                              std::numeric_limits<float>::max(),
+                              -std::numeric_limits<float>::max()};
+    std::vector<float> mixed = probes;
+    for (std::size_t i = 0; i < probes.size() / 7 + 1; ++i) {
+      mixed.push_back(specials[i % std::size(specials)]);
     }
+    Rng rng(0x51ED);
+    for (std::size_t i = mixed.size() - 1; i > 0; --i) {
+      std::swap(mixed[i], mixed[rng.next_u64() % (i + 1)]);
+    }
+    (void)check_probes(mixed);
 
     // A value the float cast keeps exactly decodes back to itself.  The
     // cast changes values past float range and, for es = 5, negatives too
