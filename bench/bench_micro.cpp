@@ -240,9 +240,11 @@ BENCHMARK(BM_QuantizeBatchPool)->Arg(1)->Arg(0);
 /// Full LPQ search on the tiny CNN; Arg is the pool size for BOTH the
 /// candidate loop (LpqParams::threads) and the nested tensor ops (default
 /// pool), so Arg(1) is a genuinely serial baseline and Arg(0) is fully
-/// pooled.  Candidate fitness evaluation — a quantized forward per
-/// candidate — dominates, so this measures the pool-driven evaluation path
-/// end to end.
+/// pooled.  Candidate fitness evaluation — the initial population's
+/// forwards, then per population update one shared prefix and each
+/// candidate's suffix — dominates, so this measures the pool-driven
+/// evaluation path end to end.  Items are candidates evaluated: the
+/// population plus (1 + diversity_children) per update.
 void BM_LpqEvalPool(benchmark::State& state) {
   const auto threads = static_cast<int>(state.range(0));
   set_default_pool_threads(threads);
@@ -260,11 +262,17 @@ void BM_LpqEvalPool(benchmark::State& state) {
   params.block_size = 4;
   params.diversity_children = 3;
   params.threads = threads;
+  std::int64_t candidates = 0;
   for (auto _ : state) {
     lpq::LpqEngine engine(m, calib, params);
     benchmark::DoNotOptimize(engine.run().best.fitness);
+    const auto updates = static_cast<std::int64_t>(
+        params.passes * params.cycles *
+        static_cast<int>(engine.blocks().size()));
+    candidates =
+        params.population + updates * (1 + params.diversity_children);
   }
-  state.SetItemsProcessed(state.iterations() * params.population);
+  state.SetItemsProcessed(state.iterations() * candidates);
   set_default_pool_threads(0);
 }
 BENCHMARK(BM_LpqEvalPool)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);

@@ -251,14 +251,14 @@ double compression_ratio(const nn::Model& model, const Candidate& cand,
          static_cast<double>(ref.fp_weight_bits);
 }
 
-double evaluate_fitness(const nn::Model& model, const Candidate& cand,
-                        const Tensor& calibration, const FpReference& ref,
-                        const FitnessOptions& opts) {
-  const OwnedQuantSpec owned =
-      build_quant_spec(model, cand, opts.act_sf, ref.act_scale_centers);
-  const bool need_pooled = opts.kind == FitnessKind::kGlobalLocalContrastive;
-  const auto fwd = model.forward_quantized(calibration, owned.spec, need_pooled);
-  const double loss = representation_loss(fwd, ref, opts);
+bool needs_pooled(const FitnessOptions& opts) {
+  return opts.kind == FitnessKind::kGlobalLocalContrastive;
+}
+
+double fitness_of(const nn::ForwardResult& quantized, const nn::Model& model,
+                  const Candidate& cand, const FpReference& ref,
+                  const FitnessOptions& opts) {
+  const double loss = representation_loss(quantized, ref, opts);
   const double lcr = compression_ratio(model, cand, ref);
   // Lower is better for both terms.  The loss can be ~0 at high precision;
   // add a floor so LCR still differentiates candidates there.
@@ -266,18 +266,23 @@ double evaluate_fitness(const nn::Model& model, const Candidate& cand,
          std::pow(hw_cost_ratio(model, cand, opts), opts.mu);
 }
 
+double evaluate_fitness(const nn::Model& model, const Candidate& cand,
+                        const Tensor& calibration, const FpReference& ref,
+                        const FitnessOptions& opts) {
+  const OwnedQuantSpec owned =
+      build_quant_spec(model, cand, opts.act_sf, ref.act_scale_centers);
+  return fitness_of(
+      model.forward_quantized(calibration, owned.spec, needs_pooled(opts)),
+      model, cand, ref, opts);
+}
+
 double evaluate_fitness_prepared(const runtime::QuantizedModel& prepared,
                                  const nn::Model& model, const Candidate& cand,
                                  const Tensor& calibration,
                                  const FpReference& ref,
                                  const FitnessOptions& opts) {
-  const bool need_pooled = opts.kind == FitnessKind::kGlobalLocalContrastive;
-  const auto fwd = prepared.run(calibration, need_pooled);
-  const double loss = representation_loss(fwd, ref, opts);
-  const double lcr = compression_ratio(model, cand, ref);
-  // Same objective as evaluate_fitness (see comment there).
-  return (loss + 1e-6) * std::pow(lcr, opts.lambda) *
-         std::pow(hw_cost_ratio(model, cand, opts), opts.mu);
+  return fitness_of(prepared.run(calibration, needs_pooled(opts)), model, cand,
+                    ref, opts);
 }
 
 }  // namespace lp::lpq

@@ -98,6 +98,19 @@ struct FitnessOptions {
                                        const Candidate& cand,
                                        const FpReference& ref);
 
+/// Whether the objective reads the per-layer pooled representations, so
+/// its quantized forward must capture them (which keeps every edge float).
+[[nodiscard]] bool needs_pooled(const FitnessOptions& opts);
+
+/// LF = L * LCR^lambda (times the hardware-cost term) of a finished
+/// quantized forward of `cand` on the calibration batch, captured as
+/// needs_pooled(opts) says: the objective evaluate_fitness,
+/// evaluate_fitness_prepared and the LPQ engine all compute.
+[[nodiscard]] double fitness_of(const nn::ForwardResult& quantized,
+                                const nn::Model& model, const Candidate& cand,
+                                const FpReference& ref,
+                                const FitnessOptions& opts);
+
 /// Full fitness LF = L * LCR^lambda (lower is better).  Runs the quantized
 /// forward on `calibration`.  This is the uncached reference path: it
 /// rebuilds both format tables and re-quantizes every layer's weights per

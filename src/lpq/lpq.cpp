@@ -35,7 +35,27 @@ std::vector<std::vector<std::size_t>> make_blocks(const nn::Model& model,
   return blocks;
 }
 
+/// Index of the node owning slot `s`, or the node count when `s` is past
+/// the last slot.
+std::size_t node_of_slot(const nn::Model& model, std::size_t s) {
+  for (std::size_t i = 0; i < model.node_count(); ++i) {
+    const nn::Node& n = model.node(i);
+    const std::size_t k = n.slots_const().size();
+    if (k > 0 && s < static_cast<std::size_t>(n.first_slot()) + k) return i;
+  }
+  return model.node_count();
+}
+
 }  // namespace
+
+/// A calibration run paused before some node, plus the genes of every slot
+/// before that node.  A slot's formats are a function of the genes up to
+/// it (its weight gene, and under kChained the sf sum of its
+/// predecessors'), so those genes fix the plan the run ran.
+struct LpqEngine::SharedPrefix {
+  nn::RunState state;
+  std::vector<LPConfig> genes;
+};
 
 LpqEngine::LpqEngine(const nn::Model& model, Tensor calibration, LpqParams params)
     : model_(model), calibration_(std::move(calibration)), params_(params),
@@ -64,7 +84,8 @@ OwnedQuantSpec LpqEngine::make_spec(const Candidate& cand) const {
                           ref_.act_scale_centers);
 }
 
-void LpqEngine::evaluate_batch(std::vector<Candidate*>& todo) {
+void LpqEngine::evaluate_batch(std::vector<Candidate*>& todo,
+                               SharedPrefix& prefix) {
   // Drop already-evaluated candidates (fitness caching, paper Step 1).
   std::vector<Candidate*> work;
   for (auto* c : todo) {
@@ -89,15 +110,46 @@ void LpqEngine::evaluate_batch(std::vector<Candidate*>& todo) {
   const std::vector<runtime::QuantizedModel> prepared =
       session_.prepare_all(weight_cfgs, act_cfgs);
 
-  // Each candidate writes only its own slot, so chunk claiming order cannot
-  // affect results: threads=N is bit-identical to threads=1.  No RNG draws
-  // happen here (see rng_ in lpq.h).
+  // Step 2 regenerates only the current block and copies every other gene
+  // from the best parent, so the candidates agree on every slot before the
+  // block: each node before the first node owning a differing slot runs
+  // the same plan on the same input for all of them.  That prefix runs
+  // once, resuming the previous update's run when the slots it ran still
+  // hold the same genes (every update but a pass's first), else from the
+  // input.
+  const std::vector<LPConfig>& genes = work[0]->layers;
+  std::size_t shared = genes.size();
+  for (const Candidate* c : work) {
+    std::size_t s = 0;
+    while (s < shared && c->layers[s] == genes[s]) ++s;
+    shared = s;
+  }
+  const std::size_t cut = node_of_slot(model_, shared);
+  const bool resumable =
+      !prefix.state.values.empty() && prefix.state.next <= cut &&
+      std::equal(prefix.genes.begin(), prefix.genes.end(), genes.begin());
+  if (!resumable) {
+    prefix.state = model_.start(calibration_, needs_pooled(params_.fitness));
+  }
+  prepared[0].advance(prefix.state, cut);
+  const std::size_t ran = cut < model_.node_count()
+                              ? static_cast<std::size_t>(
+                                    model_.node(cut).first_slot())
+                              : genes.size();
+  prefix.genes.assign(genes.begin(),
+                      genes.begin() + static_cast<std::ptrdiff_t>(ran));
+
+  // Each candidate runs its suffix from a private copy of the prefix and
+  // writes only its own slot, so chunk claiming order cannot affect
+  // results: threads=N is bit-identical to threads=1.  No RNG draws happen
+  // here (see rng_ in lpq.h).
   ThreadPool& pool = pool_ ? *pool_ : default_pool();
   pool.run_chunks(static_cast<std::int64_t>(work.size()), [&](std::int64_t i) {
     Candidate* c = work[static_cast<std::size_t>(i)];
-    c->fitness = evaluate_fitness_prepared(
-        prepared[static_cast<std::size_t>(i)], model_, *c, calibration_, ref_,
-        params_.fitness);
+    nn::RunState state = prefix.state;
+    prepared[static_cast<std::size_t>(i)].advance(state, model_.node_count());
+    c->fitness = fitness_of(model_.finish(std::move(state)), model_, *c, ref_,
+                            params_.fitness);
     c->evaluated = true;
   });
 }
@@ -135,10 +187,12 @@ LpqResult LpqEngine::run(const Callback& callback) {
   while (static_cast<int>(population_.size()) < params_.population) {
     population_.push_back(random_candidate(rng_));
   }
+  // One prefix per run, so an engine holds no forward state between runs.
+  SharedPrefix prefix;
   {
     std::vector<Candidate*> todo;
     for (auto& c : population_) todo.push_back(&c);
-    evaluate_batch(todo);
+    evaluate_batch(todo, prefix);
   }
   sort_population();
 
@@ -174,7 +228,7 @@ LpqResult LpqEngine::run(const Callback& callback) {
         // Step 4: evaluate all generated children, update the population.
         std::vector<Candidate*> todo{&child};
         for (auto& dc : diverse) todo.push_back(&dc);
-        evaluate_batch(todo);
+        evaluate_batch(todo, prefix);
 
         population_.push_back(std::move(child));
         if (!diverse.empty()) {

@@ -13,6 +13,11 @@
 //
 // The search makes P passes over all blocks, iterating each block C times,
 // so the population is updated P * C * num_blocks times.
+//
+// Steps 2 and 3 change only the current block, so one update's candidates
+// agree on every slot before it.  The engine runs that forward prefix once
+// (resuming the previous update's when the slots it ran still hold the
+// same formats) and each candidate runs only the suffix from a copy.
 #pragma once
 
 #include <functional>
@@ -92,8 +97,11 @@ class LpqEngine {
   }
 
  private:
+  /// The forward prefix one run() carries between population updates.
+  struct SharedPrefix;
+
   [[nodiscard]] Candidate random_candidate(Rng& rng) const;
-  void evaluate_batch(std::vector<Candidate*>& todo);
+  void evaluate_batch(std::vector<Candidate*>& todo, SharedPrefix& prefix);
   void sort_population();
 
   const nn::Model& model_;

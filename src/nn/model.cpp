@@ -47,35 +47,59 @@ void Model::finalize() {
 
 ForwardResult Model::run(const Tensor& input, RunCtx ctx,
                          bool capture_pooled) const {
+  RunState state = start(input, capture_pooled);
+  advance(state, nodes_.size(), std::move(ctx));
+  return finish(std::move(state));
+}
+
+RunState Model::start(const Tensor& input, bool capture_pooled) const {
   LP_CHECK_MSG(finalized_, "call finalize() first");
   LP_CHECK(!input.empty());
+  RunState state;
+  state.values.resize(nodes_.size());
+  state.values[0] = NodeValue(input);
+  state.capture_pooled = capture_pooled;
+  if (capture_pooled) {
+    state.pooled.reserve(static_cast<std::size_t>(weighted_nodes_));
+  }
+  return state;
+}
+
+void Model::advance(RunState& state, std::size_t end, RunCtx ctx) const {
+  LP_CHECK_MSG(state.values.size() == nodes_.size(),
+               "run state of another model");
+  LP_CHECK(state.next <= end && end <= nodes_.size());
   LP_CHECK_MSG(ctx.plan.empty() || ctx.plan.size() == slots_.size(),
                "plan sized " << ctx.plan.size() << " but model has "
                              << slots_.size() << " slots");
-  ForwardResult result;
-  if (capture_pooled) {
-    result.pooled.reserve(static_cast<std::size_t>(weighted_nodes_));
-    ctx.pooled_capture = &result.pooled;
-  }
-  std::vector<NodeValue> outputs(nodes_.size());
-  outputs[0] = NodeValue(input);
+  if (state.capture_pooled) ctx.pooled_capture = &state.pooled;
+  std::vector<NodeValue>& values = state.values;
   std::vector<const NodeValue*> in_ptrs;
-  for (std::size_t i = 1; i < nodes_.size(); ++i) {
+  for (std::size_t i = state.next; i < end; ++i) {
     const Node& n = *nodes_[i];
     in_ptrs.clear();
-    for (int in : n.inputs()) in_ptrs.push_back(&outputs[static_cast<std::size_t>(in)]);
-    outputs[i] = n.run(in_ptrs, ctx);
-    if (ctx.on_node) ctx.on_node(i, outputs[i]);
+    for (int in : n.inputs()) in_ptrs.push_back(&values[static_cast<std::size_t>(in)]);
+    values[i] = n.run(in_ptrs, ctx);
+    if (ctx.on_node) ctx.on_node(i, values[i]);
     // Drop values whose last consumer has executed (liveness).
     for (int in : n.inputs()) {
-      if (last_use_[static_cast<std::size_t>(in)] == static_cast<int>(i) && in != 0) {
-        outputs[static_cast<std::size_t>(in)] = NodeValue();
+      if (last_use_[static_cast<std::size_t>(in)] == static_cast<int>(i)) {
+        values[static_cast<std::size_t>(in)] = NodeValue();
       }
     }
   }
+  state.next = end;
+}
+
+ForwardResult Model::finish(RunState&& state) const {
+  LP_CHECK_MSG(state.next == nodes_.size() &&
+                   state.values.size() == nodes_.size(),
+               "finish() needs a run advanced past the last node");
+  ForwardResult result;
   // A coded final edge decodes here — the exact floats the float path's
   // quantized logits hold.
-  result.logits = std::move(outputs.back()).into_dense();
+  result.logits = std::move(state.values.back()).into_dense();
+  result.pooled = std::move(state.pooled);
   return result;
 }
 

@@ -20,6 +20,19 @@ struct ForwardResult {
   std::vector<std::vector<float>> pooled;
 };
 
+/// A forward pass paused before node `next`: the values of every node
+/// before it that a later node still reads (the rest are empty), plus the
+/// pooled rows the nodes before it captured.  Model::start makes one at
+/// the input, Model::advance runs it forward and Model::finish takes its
+/// result.  A copy resumes independently of the original, so runs whose
+/// plans agree on every slot before `next` can share one prefix.
+struct RunState {
+  std::size_t next = 1;              ///< index of the next node to run
+  std::vector<NodeValue> values;     ///< per node; empty once dead
+  bool capture_pooled = false;       ///< weighted nodes append to `pooled`
+  std::vector<std::vector<float>> pooled;
+};
+
 class Model {
  public:
   /// Creates a model whose node 0 is the input placeholder.
@@ -32,14 +45,28 @@ class Model {
   /// the slot table.
   void finalize();
 
-  /// The executor: runs every node in topological order under `ctx` — its
-  /// per-slot plan, hooks, multiply semantics and per-node callback —
-  /// dropping each value after its last consumer.  Coded output edges
-  /// flow to downstream weighted nodes as packed codes (other consumers
-  /// decode lazily); requesting pooled capture forces every edge back to
-  /// float.  Every other entry point is a plan builder over this loop.
+  /// The executor: start, advance to the last node, finish.  Runs every
+  /// node in topological order under `ctx` — its per-slot plan, hooks,
+  /// multiply semantics and per-node callback — dropping each value after
+  /// its last consumer.  Coded output edges flow to downstream weighted
+  /// nodes as packed codes (other consumers decode lazily); requesting
+  /// pooled capture forces every edge back to float.  Every other entry
+  /// point is a plan builder over this loop.
   [[nodiscard]] ForwardResult run(const Tensor& input, RunCtx ctx,
                                   bool capture_pooled = false) const;
+
+  /// A run paused before node 1: the input is node 0's value.
+  [[nodiscard]] RunState start(const Tensor& input,
+                               bool capture_pooled = false) const;
+
+  /// The node loop: run nodes [state.next, end) under `ctx`.  Each node
+  /// computes exactly what it computes inside run() under the same plan,
+  /// so a run advanced in any number of steps matches run() bit for bit.
+  void advance(RunState& state, std::size_t end, RunCtx ctx) const;
+
+  /// The result of a run advanced past the last node.  A coded final edge
+  /// decodes here.
+  [[nodiscard]] ForwardResult finish(RunState&& state) const;
 
   /// Full-precision forward.
   [[nodiscard]] ForwardResult forward(const Tensor& input,

@@ -5,7 +5,15 @@ namespace lp::runtime {
 nn::ForwardResult QuantizedModel::run(const Tensor& input, bool capture_pooled,
                                       nn::ActTraffic* act_traffic) const {
   LP_CHECK_MSG(model_ != nullptr, "empty QuantizedModel");
-  // Built per run, so the plan never points into a copied-from snapshot.
+  nn::RunState state = model_->start(input, capture_pooled);
+  advance(state, model_->node_count(), act_traffic);
+  return model_->finish(std::move(state));
+}
+
+void QuantizedModel::advance(nn::RunState& state, std::size_t end,
+                             nn::ActTraffic* act_traffic) const {
+  LP_CHECK_MSG(model_ != nullptr, "empty QuantizedModel");
+  // Built per call, so the plan never points into a copied-from snapshot.
   std::vector<nn::SlotPlan> plan(codes_.size());
   for (std::size_t s = 0; s < plan.size(); ++s) {
     plan[s].codes = codes_[s].get();
@@ -18,7 +26,7 @@ nn::ForwardResult QuantizedModel::run(const Tensor& input, bool capture_pooled,
   ctx.plan = plan;
   ctx.act_traffic = act_traffic;
   ctx.approx = approx_;
-  return model_->run(input, ctx, capture_pooled);
+  model_->advance(state, end, std::move(ctx));
 }
 
 std::vector<nn::LayerWorkload> QuantizedModel::trace_workloads(

@@ -5,12 +5,13 @@
 // A snapshot is cheap to build (pointer copies once the cache is warm) and
 // cheap to copy, so the LPQ engine materializes one per candidate and
 // evaluates them concurrently; shared ownership keeps every referenced
-// payload alive even if the cache evicts it mid-flight.  run() hands
-// Model::run one nn::SlotPlan per slot, built from the shared payloads;
-// it executes the fused per-node quantize -> GEMM -> activation pipeline
-// on the default thread pool and the dispatched SIMD kernels.  Every slot
-// holds packed codes and runs the LUT-decoding GEMM datapath —
-// bit-identical to Model::forward_quantized with the equivalent QuantSpec.
+// payload alive even if the cache evicts it mid-flight.  run() and
+// advance() hand the node loop one nn::SlotPlan per slot, built from the
+// shared payloads; it executes the fused per-node quantize -> GEMM ->
+// activation pipeline on the default thread pool and the dispatched SIMD
+// kernels.  Every slot holds packed codes and runs the LUT-decoding GEMM
+// datapath — bit-identical to Model::forward_quantized with the equivalent
+// QuantSpec.
 #pragma once
 
 #include <memory>
@@ -38,6 +39,15 @@ class QuantizedModel {
   [[nodiscard]] nn::ForwardResult run(const Tensor& input,
                                       bool capture_pooled = false,
                                       nn::ActTraffic* act_traffic = nullptr) const;
+
+  /// Model::advance under this snapshot's plan: run nodes
+  /// [state.next, end) of a run started by model().start.  A state that
+  /// another snapshot advanced resumes here bit-identically as long as
+  /// both snapshots hold the same formats on every slot before
+  /// state.next (the LPQ engine shares one prefix across a population
+  /// update this way).
+  void advance(nn::RunState& state, std::size_t end,
+               nn::ActTraffic* act_traffic = nullptr) const;
 
   /// GEMM workloads this snapshot executes for `input` (batch folded into
   /// each workload's N dimension) — feed to sim::simulate.

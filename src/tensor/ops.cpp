@@ -14,7 +14,43 @@
 namespace lp {
 
 void quantize_inplace(Tensor& t, const NumberFormat& fmt) {
-  (void)fmt.quantize_batch(t.data());
+  const QuantIndex* qidx = fmt.quant_index();
+  if (qidx == nullptr) {
+    (void)fmt.quantize_batch(t.data());
+    return;
+  }
+  // The floats quantize_batch stores, without the squared-error sum it
+  // accumulates: the dispatched nearest-index search, then a store of the
+  // table value (quiet NaN for a non-finite input), over the same fixed
+  // chunks on the pool.
+  const kernels::QuantIndexView v = qidx->view();
+  const kernels::NearestIndicesFn search = kernels::dispatch().nearest_indices;
+  float* xs = t.raw();
+  auto quantize_range = [&](std::size_t begin, std::size_t end) {
+    constexpr std::size_t kBlock = 512;
+    std::uint32_t idx[kBlock] = {};
+    for (std::size_t b = begin; b < end; b += kBlock) {
+      const std::size_t len = std::min(kBlock, end - b);
+      search(v, xs + b, idx, len);
+      for (std::size_t i = 0; i < len; ++i) {
+        xs[b + i] = idx[i] == kernels::kInvalidIndex
+                        ? std::numeric_limits<float>::quiet_NaN()
+                        : v.values_f[idx[i]];
+      }
+    }
+  };
+  const auto n = static_cast<std::size_t>(t.numel());
+  constexpr std::size_t kChunk = QuantIndex::kQuantChunk;
+  if (n <= kChunk) {
+    quantize_range(0, n);
+    return;
+  }
+  default_pool().run_chunks(
+      static_cast<std::int64_t>((n + kChunk - 1) / kChunk),
+      [&](std::int64_t c) {
+        const std::size_t begin = static_cast<std::size_t>(c) * kChunk;
+        quantize_range(begin, std::min(begin + kChunk, n));
+      });
 }
 namespace {
 

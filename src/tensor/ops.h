@@ -17,10 +17,12 @@ namespace lp {
 
 class NumberFormat;
 
-/// Quantize every element of t in place through the format's batched path
-/// (see NumberFormat::quantize_batch).  The RMSE-returning variant is
-/// quantize_span in core/number_format.h; this one is for the forward-pass
-/// hot loops that discard the error.
+/// Quantize every element of t in place: the floats the format's batched
+/// path stores (see NumberFormat::quantize_batch), non-finite inputs
+/// becoming quiet NaN.  A format with a nearest-value index skips the
+/// squared-error sum quantize_batch accumulates; the RMSE-returning
+/// variant is quantize_span in core/number_format.h, and this one is for
+/// the forward-pass hot loops that discard the error.
 void quantize_inplace(Tensor& t, const NumberFormat& fmt);
 
 /// C[M,N] = A[M,K] * B[K,N]  (+bias[N] if non-null).  Both matmul variants

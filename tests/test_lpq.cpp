@@ -2,13 +2,16 @@
 // fitness behaviour, engine invariants and end-to-end improvement.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "data/dataset.h"
 #include "lpq/lpq.h"
 #include "nn/zoo.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace lp::lpq {
 namespace {
@@ -259,6 +262,76 @@ TEST(Engine, DeterministicForFixedSeed) {
     EXPECT_EQ(r1.best.layers[s].n, r2.best.layers[s].n);
     EXPECT_EQ(r1.best.layers[s].sf, r2.best.layers[s].sf);
   }
+}
+
+/// Restores the shared default pool to automatic sizing when a test ends.
+struct PoolGuard {
+  ~PoolGuard() { set_default_pool_threads(0); }
+};
+
+/// A search small enough to run twice per test, with several blocks per
+/// pass and a second pass, so updates resume mid-model and restart at a
+/// pass's first block.
+LpqParams rescore_params() {
+  LpqParams p;
+  p.population = 5;
+  p.passes = 2;
+  p.cycles = 1;
+  p.block_size = 2;
+  p.diversity_children = 2;
+  p.seed = 31;
+  return p;
+}
+
+/// Every update's best candidate, as the callback receives it, must
+/// re-score bit for bit through the uncached evaluate_fitness — at
+/// LP_THREADS 1 and 8.
+void expect_best_rescores(const nn::Model& m, const LpqParams& p) {
+  PoolGuard guard;
+  const Tensor cal = random_batch(6, 3, 16, 41);
+  for (const int threads : {1, 8}) {
+    set_default_pool_threads(threads);
+    LpqEngine eng(m, cal, p);
+    int updates = 0;
+    (void)eng.run([&](const IterationStat& st, const Candidate& best) {
+      ++updates;
+      const double rescored =
+          evaluate_fitness(m, best, cal, eng.reference(), p.fitness);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(rescored),
+                std::bit_cast<std::uint64_t>(best.fitness))
+          << "update " << st.iteration << ", threads=" << threads;
+    });
+    EXPECT_EQ(updates,
+              p.passes * p.cycles * static_cast<int>(eng.blocks().size()));
+  }
+}
+
+TEST(SearchRescore, GlobalLocalContrastive) {
+  expect_best_rescores(nn::build_tiny_cnn(small_opts()), rescore_params());
+}
+
+TEST(SearchRescore, MseWithoutCapture) {
+  LpqParams p = rescore_params();
+  p.fitness.kind = FitnessKind::kMse;
+  expect_best_rescores(nn::build_tiny_cnn(small_opts()), p);
+}
+
+TEST(SearchRescore, ChainedActivationSf) {
+  LpqParams p = rescore_params();
+  p.fitness.act_sf = ActSfMode::kChained;
+  expect_best_rescores(nn::build_tiny_cnn(small_opts()), p);
+}
+
+TEST(SearchRescore, TwoCyclesPerBlock) {
+  LpqParams p = rescore_params();
+  p.cycles = 2;
+  expect_best_rescores(nn::build_tiny_cnn(small_opts()), p);
+}
+
+TEST(SearchRescore, VitByBlockId) {
+  LpqParams p = rescore_params();
+  p.block_mode = LpqParams::BlockMode::kByBlockId;
+  expect_best_rescores(nn::build_tiny_vit(small_opts()), p);
 }
 
 TEST(Engine, HardwarePresetProducesPow2Widths) {

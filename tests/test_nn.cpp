@@ -2,7 +2,10 @@
 // capture, workload tracing, zoo construction and scale calibration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/lp_format.h"
 #include "data/dataset.h"
@@ -116,6 +119,56 @@ TEST(Model, WorkloadMacsMatchAnalyticConv) {
   const auto wl = m.trace_workloads(x);
   EXPECT_EQ(wl[0].name, "stem");
   EXPECT_EQ(wl[0].macs(), 8LL * 27 * 256);
+}
+
+std::vector<std::uint32_t> float_bits(std::span<const float> xs) {
+  std::vector<std::uint32_t> bits;
+  bits.reserve(xs.size());
+  for (const float v : xs) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
+}
+
+/// Resumes a full-precision capture run at every node: one run advanced a
+/// node at a time, and at each cut a copy of it finished from there.  Each
+/// must equal Model::run bit for bit, logits and every pooled row.
+/// Returns the most values a paused run held at once.
+std::size_t expect_resumes_match_run(const Model& m, const Tensor& x) {
+  const RunCtx ctx;
+  const ForwardResult whole = m.run(x, ctx, /*capture_pooled=*/true);
+  RunState prefix = m.start(x, /*capture_pooled=*/true);
+  std::size_t max_live = 0;
+  for (std::size_t cut = 1;; ++cut) {
+    SCOPED_TRACE(m.name() + " cut at node " + std::to_string(cut));
+    max_live = std::max<std::size_t>(
+        max_live, static_cast<std::size_t>(std::count_if(
+                      prefix.values.begin(), prefix.values.end(),
+                      [](const NodeValue& v) { return !v.empty(); })));
+    RunState suffix = prefix;
+    m.advance(suffix, m.node_count(), ctx);
+    const ForwardResult got = m.finish(std::move(suffix));
+    EXPECT_EQ(float_bits(got.logits.data()), float_bits(whole.logits.data()));
+    EXPECT_EQ(got.pooled.size(), whole.pooled.size());
+    for (std::size_t r = 0; r < std::min(got.pooled.size(), whole.pooled.size());
+         ++r) {
+      EXPECT_EQ(float_bits(got.pooled[r]), float_bits(whole.pooled[r]))
+          << "pooled row " << r;
+    }
+    if (cut == m.node_count() || ::testing::Test::HasFailure()) break;
+    m.advance(prefix, cut + 1, ctx);
+  }
+  return max_live;
+}
+
+TEST(Model, ResumedRunMatchesRunAtEveryNode) {
+  Tensor x({2, 3, 16, 16});
+  Rng rng(9);
+  for (float& v : x.data()) v = static_cast<float>(rng.gaussian());
+  (void)expect_resumes_match_run(build_tiny_cnn(small_opts()), x);
+  // The ViT's cuts include its 4-slot attention nodes.
+  (void)expect_resumes_match_run(build_tiny_vit(small_opts()), x);
+  // Residual adds keep a second value live across cuts.
+  EXPECT_GE(expect_resumes_match_run(build_resnet18(small_opts()), x), 2U);
+  EXPECT_GE(expect_resumes_match_run(build_mobilenet_v2(small_opts()), x), 2U);
 }
 
 TEST(Zoo, AllModelsBuildAndRun) {

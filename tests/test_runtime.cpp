@@ -8,6 +8,8 @@
 // batched serving equivalence, and cached-vs-uncached LPQ fitness.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -106,6 +108,103 @@ TEST(InferenceSession, LogitsBitIdenticalToQuantSpecPathAcrossThreadCounts) {
       runs.push_back(logit_bits(got.logits));
     }
     EXPECT_EQ(runs[0], runs[1]);  // threads=1 vs threads=8
+  }
+}
+
+std::vector<std::uint32_t> row_bits(std::span<const float> row) {
+  std::vector<std::uint32_t> bits;
+  bits.reserve(row.size());
+  for (const float v : row) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
+}
+
+void expect_same_result(const nn::ForwardResult& got,
+                        const nn::ForwardResult& want) {
+  EXPECT_EQ(logit_bits(got.logits), logit_bits(want.logits));
+  ASSERT_EQ(got.pooled.size(), want.pooled.size());
+  for (std::size_t r = 0; r < got.pooled.size(); ++r) {
+    EXPECT_EQ(row_bits(got.pooled[r]), row_bits(want.pooled[r]))
+        << "pooled row " << r;
+  }
+}
+
+/// Resumes a snapshot's run at every node: one run advanced a node at a
+/// time and, at each cut, a copy of it finished from there — each
+/// bit-equal to QuantizedModel::run, logits and every pooled row.
+/// Returns how many cuts found a packed-code value in the paused run.
+int expect_snapshot_resumes(const QuantizedModel& qm, const Tensor& x,
+                            bool capture_pooled) {
+  const nn::Model& m = qm.model();
+  const nn::ForwardResult whole = qm.run(x, capture_pooled);
+  nn::RunState prefix = m.start(x, capture_pooled);
+  int coded_cuts = 0;
+  for (std::size_t cut = 1;; ++cut) {
+    SCOPED_TRACE(m.name() + " cut at node " + std::to_string(cut) +
+                 (capture_pooled ? ", capture" : ", no capture"));
+    if (std::any_of(prefix.values.begin(), prefix.values.end(),
+                    [](const nn::NodeValue& v) { return v.codes() != nullptr; })) {
+      ++coded_cuts;
+    }
+    nn::RunState suffix = prefix;
+    qm.advance(suffix, m.node_count());
+    expect_same_result(m.finish(std::move(suffix)), whole);
+    if (cut == m.node_count() || ::testing::Test::HasFailure()) break;
+    qm.advance(prefix, cut + 1);
+  }
+  return coded_cuts;
+}
+
+TEST(ResumedRun, SnapshotMatchesRunAtEveryNode) {
+  const Tensor x = random_batch(2, 3, 16, 51);
+  for (const char* name : {"tiny_cnn", "tiny_vit", "resnet18", "mobilenetv2"}) {
+    const nn::Model m = nn::build_model(name, small_opts());
+    InferenceSession session(m);
+    const auto w = varied_weight_cfgs(m);
+    const QuantizedModel qm = session.prepare(w, varied_act_cfgs(w));
+    // Coded activations, no capture: the paused run holds codes.
+    EXPECT_GT(expect_snapshot_resumes(qm, x, /*capture_pooled=*/false), 0)
+        << name;
+    // Capture keeps every edge float.
+    EXPECT_EQ(expect_snapshot_resumes(qm, x, /*capture_pooled=*/true), 0)
+        << name;
+  }
+}
+
+TEST(ResumedRun, TwoSuffixesShareOnePrefixConcurrently) {
+  // The LPQ pattern: two snapshots that agree on the first half of the
+  // slots share one paused run; each finishes from its own copy, both at
+  // once, with tensor ops on an 8-wide default pool.
+  PoolGuard guard;
+  set_default_pool_threads(8);
+  const nn::Model m = nn::build_mobilenet_v2(small_opts());
+  const Tensor x = random_batch(2, 3, 16, 52);
+  const std::size_t half = m.num_slots() / 2;
+  std::vector<std::vector<LPConfig>> w(2, varied_weight_cfgs(m));
+  for (std::size_t s = half; s < m.num_slots(); ++s) w[1][s].sf += 0.25;
+  const std::vector<std::vector<LPConfig>> a{varied_act_cfgs(w[0]),
+                                             varied_act_cfgs(w[1])};
+  InferenceSession session(m);
+  const auto snaps = session.prepare_all(w, a);
+  std::size_t cut = 1;
+  while (m.node(cut).slots_const().empty() ||
+         static_cast<std::size_t>(m.node(cut).first_slot()) < half) {
+    ++cut;
+  }
+  ThreadPool pair(2);
+  for (const bool capture : {false, true}) {
+    SCOPED_TRACE(capture ? "capture" : "no capture");
+    nn::RunState shared = m.start(x, capture);
+    snaps[0].advance(shared, cut);
+    std::array<nn::ForwardResult, 2> got;
+    pair.run_chunks(2, [&](std::int64_t i) {
+      nn::RunState own = shared;
+      snaps[static_cast<std::size_t>(i)].advance(own, m.node_count());
+      got[static_cast<std::size_t>(i)] = m.finish(std::move(own));
+    });
+    for (std::size_t i = 0; i < 2; ++i) {
+      expect_same_result(got[i], snaps[i].run(x, capture));
+    }
+    EXPECT_NE(logit_bits(got[0].logits), logit_bits(got[1].logits));
   }
 }
 

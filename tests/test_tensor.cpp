@@ -9,6 +9,8 @@
 #include <memory>
 #include <vector>
 
+#include "core/lp_format.h"
+#include "formats/posit.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -36,6 +38,66 @@ TEST(Tensor, ReshapePreservesDataAndChecksNumel) {
 
 TEST(Tensor, ConstructorRejectsMismatchedData) {
   EXPECT_THROW(Tensor({2, 2}, {1.0F, 2.0F}), std::invalid_argument);
+}
+
+std::vector<std::uint32_t> bits_of(std::span<const float> xs) {
+  std::vector<std::uint32_t> bits;
+  bits.reserve(xs.size());
+  for (const float v : xs) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
+}
+
+/// Rounds to the nearest integer and has no nearest-value index, so
+/// quantize_inplace keeps the format's own quantize_batch.
+class RoundFormat final : public NumberFormat {
+ public:
+  [[nodiscard]] double quantize(double v) const override {
+    return std::nearbyint(v);
+  }
+  [[nodiscard]] std::vector<double> all_values() const override { return {}; }
+  [[nodiscard]] std::string name() const override { return "round"; }
+  [[nodiscard]] int bits() const override { return 32; }
+};
+
+TEST(QuantizeInplace, StoresQuantizeBatchBitsAcrossChunks) {
+  // Pinned to quantize_batch on the dispatched kernel tier (CI runs this
+  // suite under every LP_KERNEL tier), over a buffer spanning several
+  // quantize chunks with +-inf, NaN, +-FLT_MAX and signed zeros mixed in,
+  // some of them on chunk boundaries.
+  constexpr std::size_t kChunk = QuantIndex::kQuantChunk;
+  const std::size_t n = 3 * kChunk + kChunk / 2 + 7;
+  Rng rng(61);
+  std::vector<float> base(n);
+  for (float& v : base) v = static_cast<float>(rng.gaussian(0.0, 2.0));
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kMax = std::numeric_limits<float>::max();
+  const float specials[] = {kInf, -kInf, std::numeric_limits<float>::quiet_NaN(),
+                            kMax, -kMax, 0.0F, -0.0F};
+  for (std::size_t i = 0; i < std::size(specials); ++i) {
+    base[i * 997 % n] = specials[i];
+    base[(kChunk * (i % 4) + i) % n] = specials[i];
+    if (i + 1 < kChunk) base[kChunk - 1 - i] = specials[i];
+  }
+  const LPFormat lp4(LPConfig{4, 1, 2, 0.5});
+  const LPFormat lp8(LPConfig{8, 2, 4, 1.0});
+  const LPFormat lp12(LPConfig{12, 2, 5, 0.5});  // dense buckets
+  const PositFormat posit8(8, 1);
+  const RoundFormat round;
+  for (const NumberFormat* fmt :
+       std::initializer_list<const NumberFormat*>{&lp4, &lp8, &lp12, &posit8,
+                                                  &round}) {
+    SCOPED_TRACE(fmt->name());
+    std::vector<float> want = base;
+    (void)fmt->quantize_batch(want);
+    Tensor got({static_cast<std::int64_t>(n)}, base);
+    quantize_inplace(got, *fmt);
+    EXPECT_EQ(bits_of(got.data()), bits_of(want));
+    // A buffer inside one chunk takes the inline path.
+    Tensor small({64}, std::vector<float>(base.begin(), base.begin() + 64));
+    quantize_inplace(small, *fmt);
+    EXPECT_EQ(bits_of(small.data()),
+              bits_of(std::span<const float>(want.data(), 64)));
+  }
 }
 
 TEST(MatMul, AgainstHandComputed) {
